@@ -27,7 +27,7 @@
 //! whole query with that error (lowest shard index wins), because the
 //! monolithic server would have failed the same way.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,8 +41,8 @@ use warptree_obs::{json as obs_json, MetricsRegistry, Trace};
 use warptree_server::client::{encode_query, ingest_request, ClientError, RetryPolicy, ShardConn};
 use warptree_server::json::Json;
 use warptree_server::proto::{
-    self, error_response, ok_response, read_frame_idle_aware, write_frame, ErrorCode, FrameEvent,
-    Request, PROTO_VERSION,
+    self, error_response, ok_response, prepare_accepted, read_frame_idle_aware, reject_connection,
+    ErrorCode, FrameEvent, Request, PROTO_VERSION,
 };
 
 use crate::merge::{
@@ -436,31 +436,12 @@ fn accept_loop(listener: TcpListener, state: &Arc<CoordState>) {
     }
 }
 
-fn reject_connection(mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = write_frame(
-        &mut stream,
-        error_response(
-            ErrorCode::Overloaded,
-            "connection limit reached; retry with backoff",
-        )
-        .as_bytes(),
-    );
-}
-
 /// Same mid-frame stall bound as the shard server (~30 s of 100 ms
 /// read timeouts).
 const FRAME_STALL_LIMIT: u32 = 300;
 
 fn handle_conn(mut stream: TcpStream, state: &Arc<CoordState>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
+    if prepare_accepted(&stream).is_err() {
         return;
     }
     // This connection's private shard sockets, dialed lazily and
@@ -507,18 +488,19 @@ fn serve_one(
         Ok(parsed) => parsed,
         Err(pe) => {
             state.registry.counter("coord.bad_requests").incr();
-            return respond(stream, &error_response(pe.code, &pe.message));
+            return respond(stream, state, &error_response(pe.code, &pe.message));
         }
     };
 
     if req.is_control() {
         let resp = clamp_oversized(control_response(&req, state), &state.registry);
-        return respond(stream, &resp);
+        return respond(stream, state, &resp);
     }
 
     if state.shutdown.load(Ordering::SeqCst) {
         return respond(
             stream,
+            state,
             &error_response(ErrorCode::ShuttingDown, "coordinator is draining"),
         );
     }
@@ -573,11 +555,20 @@ fn serve_one(
             "result is partial (segments quarantined) and this protocol version cannot express partial results; retry with version 3",
         );
     }
+    let resp = clamp_oversized(resp, &state.registry);
+    let ok = proto::respond(
+        stream,
+        &resp,
+        &state.registry.counter("coord.response_bytes"),
+        &trace,
+        parent,
+    );
+    // Offered after the write, so a traced entry in the ring carries
+    // the `write` span too.
     state
         .slowlog
         .offer(op, state.max_generation(), service_ns, &trace);
-    let resp = clamp_oversized(resp, &state.registry);
-    respond(stream, &resp)
+    ok
 }
 
 fn clamp_oversized(resp: String, registry: &MetricsRegistry) -> String {
@@ -591,8 +582,10 @@ fn clamp_oversized(resp: String, registry: &MetricsRegistry) -> String {
     )
 }
 
-fn respond(stream: &mut TcpStream, resp: &str) -> bool {
-    write_frame(stream, resp.as_bytes()).is_ok() && stream.flush().is_ok()
+/// An untraced response (parse errors, control ops, refusals).
+fn respond(stream: &mut TcpStream, state: &CoordState, resp: &str) -> bool {
+    let bytes = state.registry.counter("coord.response_bytes");
+    proto::respond(stream, resp, &bytes, &Trace::noop(), None)
 }
 
 fn next_trace_id(kind: &str) -> String {
@@ -973,6 +966,10 @@ fn malformed(err: String) -> String {
     )
 }
 
+/// Scatters one query op to the shards and builds the merged response.
+/// Merging and rendering the gathered replies — the coordinator's
+/// response encoding — is timed by an `encode` span under `parent`
+/// (the request's `coord.service` span).
 fn execute(
     state: &CoordState,
     conns: &mut [ShardConn],
@@ -993,6 +990,7 @@ fn execute(
                 Ok(g) => g,
                 Err(resp) => return resp,
             };
+            let _encode = trace.span_with_parent(parent, "encode");
             let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
                 Ok(x) => x,
                 Err(e) => return malformed(e),
@@ -1040,6 +1038,7 @@ fn execute(
                 Ok(g) => g,
                 Err(resp) => return resp,
             };
+            let _encode = trace.span_with_parent(parent, "encode");
             let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
                 Ok(x) => x,
                 Err(e) => return malformed(e),
@@ -1076,6 +1075,7 @@ fn execute(
                 Ok(g) => g,
                 Err(resp) => return resp,
             };
+            let _encode = trace.span_with_parent(parent, "encode");
             let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
                 Ok(x) => x,
                 Err(e) => return malformed(e),
@@ -1129,6 +1129,7 @@ fn execute(
                 Ok(g) => g,
                 Err(resp) => return resp,
             };
+            let _encode = trace.span_with_parent(parent, "encode");
             // Per answering shard: the batch's item array (each a full
             // search response body for that shard's slice).
             let mut shard_items: Vec<(usize, &[Json])> = Vec::new();

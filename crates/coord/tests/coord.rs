@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use warptree_coord::{CoordConfig, Coordinator};
 use warptree_core::categorize::Alphabet;
-use warptree_core::sequence::{SeqId, SequenceStore};
 use warptree_core::search::BackendKind;
+use warptree_core::sequence::{SeqId, SequenceStore};
 use warptree_disk::{
     append_segment, build_dir_backend_with, build_dir_with, real_vfs, write_shard_manifest,
     ShardManifest, ShardMeta, TreeKind,
@@ -329,8 +329,9 @@ fn esa_shards_answer_byte_identically_and_enforce_pins() {
         .map(|v| format!("{v}"))
         .collect::<Vec<_>>()
         .join(",");
-    let pinned =
-        format!("{{\"op\":\"search\",\"version\":4,\"query\":[{q}],\"epsilon\":1.0,\"backend\":\"esa\"}}");
+    let pinned = format!(
+        "{{\"op\":\"search\",\"version\":4,\"query\":[{q}],\"epsilon\":1.0,\"backend\":\"esa\"}}"
+    );
     let unpinned = format!("{{\"op\":\"search\",\"version\":4,\"query\":[{q}],\"epsilon\":1.0}}");
     let rejected = rpc(tree_coord.addr(), &pinned);
     assert!(
@@ -724,6 +725,69 @@ fn traced_request_nests_one_span_per_shard() {
     coord.stop();
 }
 
+/// The coordinator's wire path decomposes like the shard server's:
+/// `encode` (merge and render) and `write` spans under `coord.service`
+/// in the ring entry, and `coord.response_bytes` counting every
+/// response payload byte.
+#[test]
+fn coordinator_records_encode_and_write_spans() {
+    use warptree_server::json::{self, Json};
+    let root = tmpdir("wire");
+    let store = corpus();
+    let alphabet = Alphabet::equal_length(&store, 6).unwrap();
+    build_shard_layout(&root, &store, &alphabet, &[6, 12]);
+    let (_shards, addrs) = start_shards(&root, 2);
+    let coord = Coordinator::start(
+        &root,
+        CoordConfig {
+            shard_addrs: addrs,
+            trace_sample: 1,
+            slow_ms: 0,
+            ..CoordConfig::default()
+        },
+    )
+    .unwrap();
+    let mut c = Client::connect(coord.addr().to_string()).unwrap();
+    let search = c
+        .request_raw("{\"op\":\"search\",\"version\":4,\"query\":[1.5,2.0,2.5],\"epsilon\":1.0}")
+        .unwrap();
+    assert!(search.starts_with("{\"ok\":true"), "{search}");
+    let slowlog = c.request_raw("{\"op\":\"slowlog\",\"version\":4}").unwrap();
+    let parsed = json::parse(&slowlog).unwrap();
+    let newest = &parsed.get("entries").and_then(Json::as_arr).unwrap()[0];
+    let spans = newest
+        .get("trace")
+        .and_then(|t| t.get("spans"))
+        .and_then(Json::as_arr)
+        .expect("sampled entry keeps its trace");
+    let find = |name: &str| {
+        spans
+            .iter()
+            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("span {name:?} missing: {slowlog}"))
+    };
+    let service = find("coord.service").get("id").cloned();
+    assert!(service.is_some());
+    for name in ["encode", "write"] {
+        assert_eq!(find(name).get("parent").cloned(), service, "{name}");
+    }
+    assert_eq!(
+        find("write")
+            .get("attrs")
+            .and_then(|a| a.get("bytes"))
+            .and_then(Json::as_u64),
+        Some(search.len() as u64)
+    );
+    let stats = c.stats().unwrap();
+    let counted = stats
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|m| m.get("coord.response_bytes"))
+        .and_then(Json::as_u64);
+    assert_eq!(counted, Some((search.len() + slowlog.len()) as u64));
+    coord.stop();
+}
+
 /// Protocol-level hygiene at the coordinator: typed bad requests,
 /// slowlog/metrics/stats/shutdown control ops, and draining.
 #[test]
@@ -753,8 +817,11 @@ fn coordinator_control_plane_and_errors() {
         .unwrap();
     assert!(ok.starts_with("{\"ok\":true"), "{ok}");
 
-    // The 1-in-1 sampler traces every request; the ring fills.
-    let slowlog = rpc(coord.addr(), "{\"op\":\"slowlog\",\"version\":4}");
+    // The 1-in-1 sampler traces every request; the ring fills. A
+    // request enters the ring once its response is written, so the
+    // ring is read on the same connection: the next frame there is
+    // read only after that entry is in.
+    let slowlog = c.request_raw("{\"op\":\"slowlog\",\"version\":4}").unwrap();
     assert!(slowlog.contains("\"entries\":["), "{slowlog}");
     assert!(slowlog.contains("coord.service"), "{slowlog}");
     let metrics = rpc(coord.addr(), "{\"op\":\"metrics\",\"version\":4}");

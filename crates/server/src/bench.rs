@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::client::{search_request_v4, Client, ClientError, ShardConn};
+use crate::client::{decode_response, search_request_v4, Client, ClientError, ShardConn};
 
 /// How connections pace their requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,6 +104,16 @@ pub struct BenchReport {
     /// Server-reported service time (dequeue → response built),
     /// microseconds: `[p50, p95, p99]`.
     pub service_us: [u64; 3],
+    /// Client-side parse of each successful response
+    /// ([`decode_response`]), microseconds: `[p50, p95, p99]`.
+    pub decode_us: [u64; 3],
+    /// Payload bytes per successful response: `[p50, p95, p99]`.
+    pub response_bytes: [u64; 3],
+    /// p50 latency minus p50 queue wait minus p50 service time,
+    /// microseconds: what the server's timings do not explain (wire,
+    /// frame I/O, client decode). Signed, because medians do not
+    /// subtract exactly.
+    pub residual_us: i64,
     /// Echo of the run shape for the committed artifact.
     pub connections: usize,
     /// Pacing mode (`"closed"` or `"open@<rate>"`).
@@ -115,7 +125,7 @@ impl BenchReport {
     /// schema).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"connections\":{},\"mode\":\"{}\",\"sent\":{},\"ok\":{},\"overloaded\":{},\"deadline_exceeded\":{},\"errors\":{},\"conn_failures\":{},\"matches\":{},\"elapsed_ms\":{},\"throughput_rps\":{},\"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}},\"queue_wait_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"service_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}}}}",
+            "{{\"connections\":{},\"mode\":\"{}\",\"sent\":{},\"ok\":{},\"overloaded\":{},\"deadline_exceeded\":{},\"errors\":{},\"conn_failures\":{},\"matches\":{},\"elapsed_ms\":{},\"throughput_rps\":{},\"latency_us\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}},\"queue_wait_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"service_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"decode_us\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"response_bytes\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\"residual_us\":{}}}",
             self.connections,
             warptree_obs::json::escape(&self.mode),
             self.sent,
@@ -137,6 +147,13 @@ impl BenchReport {
             self.service_us[0],
             self.service_us[1],
             self.service_us[2],
+            self.decode_us[0],
+            self.decode_us[1],
+            self.decode_us[2],
+            self.response_bytes[0],
+            self.response_bytes[1],
+            self.response_bytes[2],
+            self.residual_us,
         )
     }
 }
@@ -147,6 +164,16 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// `[p50, p95, p99]` of `samples` (sorted in place).
+fn quantiles(samples: &mut [u64]) -> [u64; 3] {
+    samples.sort_unstable();
+    [
+        quantile(samples, 0.50),
+        quantile(samples, 0.95),
+        quantile(samples, 0.99),
+    ]
 }
 
 /// Runs the load generator to completion and aggregates the report.
@@ -196,6 +223,8 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
             let mut latencies: Vec<u64> = Vec::new();
             let mut queue_waits: Vec<u64> = Vec::new();
             let mut services: Vec<u64> = Vec::new();
+            let mut decodes: Vec<u64> = Vec::new();
+            let mut sizes: Vec<u64> = Vec::new();
             let mut counts = [0u64; 4]; // indexed by Outcome
             let mut matches = 0u64;
             let mut sent = 0u64;
@@ -222,7 +251,17 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
                 }
                 let t0 = scheduled.unwrap_or_else(Instant::now);
                 sent += 1;
-                let outcome = match conn.request(&bodies[i]) {
+                // The round trip and the client-side parse are timed
+                // apart, so the report can separate decode cost from
+                // the wire.
+                let decoded = conn.request_raw(&bodies[i]).and_then(|text| {
+                    let t = Instant::now();
+                    let v = decode_response(&text)?;
+                    decodes.push(t.elapsed().as_micros() as u64);
+                    sizes.push(text.len() as u64);
+                    Ok(v)
+                });
+                let outcome = match decoded {
                     Ok(v) => {
                         matches += v
                             .get("count")
@@ -256,9 +295,7 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
                 counts[outcome as usize] += 1;
             }
             (
-                latencies,
-                queue_waits,
-                services,
+                [latencies, queue_waits, services, decodes, sizes],
                 counts,
                 conn.conn_failures(),
                 matches,
@@ -267,18 +304,17 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
         }));
     }
 
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut queue_waits: Vec<u64> = Vec::new();
-    let mut services: Vec<u64> = Vec::new();
+    // Per-request samples: latency, queue wait, service, decode, bytes.
+    let mut samples: [Vec<u64>; 5] = Default::default();
     let mut counts = [0u64; 4];
     let mut conn_failures = 0u64;
     let mut matches = 0u64;
     let mut sent = 0u64;
     for t in threads {
-        let (l, qw, sv, c, cf, m, s) = t.join().expect("bench thread");
-        latencies.extend(l);
-        queue_waits.extend(qw);
-        services.extend(sv);
+        let (per, c, cf, m, s) = t.join().expect("bench thread");
+        for (acc, v) in samples.iter_mut().zip(per) {
+            acc.extend(v);
+        }
         for (acc, v) in counts.iter_mut().zip(c) {
             *acc += v;
         }
@@ -287,9 +323,10 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
         sent += s;
     }
     let elapsed = started.elapsed();
-    latencies.sort_unstable();
-    queue_waits.sort_unstable();
-    services.sort_unstable();
+    let [latencies, queue_waits, services, decodes, sizes] = &mut samples;
+    let latency = quantiles(latencies);
+    let queue_wait_us = quantiles(queue_waits);
+    let service_us = quantiles(services);
     let ok = counts[Outcome::Ok as usize];
     Ok(BenchReport {
         sent,
@@ -301,20 +338,15 @@ pub fn run(config: &BenchConfig) -> Result<BenchReport, ClientError> {
         matches,
         elapsed,
         throughput: ok as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: quantile(&latencies, 0.50),
-        p95_us: quantile(&latencies, 0.95),
-        p99_us: quantile(&latencies, 0.99),
+        p50_us: latency[0],
+        p95_us: latency[1],
+        p99_us: latency[2],
         max_us: latencies.last().copied().unwrap_or(0),
-        queue_wait_us: [
-            quantile(&queue_waits, 0.50),
-            quantile(&queue_waits, 0.95),
-            quantile(&queue_waits, 0.99),
-        ],
-        service_us: [
-            quantile(&services, 0.50),
-            quantile(&services, 0.95),
-            quantile(&services, 0.99),
-        ],
+        queue_wait_us,
+        service_us,
+        decode_us: quantiles(decodes),
+        response_bytes: quantiles(sizes),
+        residual_us: latency[0] as i64 - queue_wait_us[0] as i64 - service_us[0] as i64,
         connections,
         mode: match config.mode {
             LoopMode::Closed => "closed".to_string(),
@@ -361,6 +393,9 @@ mod tests {
             max_us: 400,
             queue_wait_us: [5, 40, 80],
             service_us: [95, 160, 220],
+            decode_us: [3, 7, 9],
+            response_bytes: [900, 4000, 8000],
+            residual_us: -12,
             connections: 4,
             mode: "closed".to_string(),
         };
@@ -391,6 +426,22 @@ mod tests {
         assert_eq!(
             v.get("throughput_rps").and_then(crate::json::Json::as_f64),
             Some(16.0)
+        );
+        assert_eq!(
+            v.get("decode_us")
+                .and_then(|l| l.get("p95"))
+                .and_then(crate::json::Json::as_u64),
+            Some(7)
+        );
+        assert_eq!(
+            v.get("response_bytes")
+                .and_then(|l| l.get("p50"))
+                .and_then(crate::json::Json::as_u64),
+            Some(900)
+        );
+        assert_eq!(
+            v.get("residual_us").and_then(crate::json::Json::as_f64),
+            Some(-12.0)
         );
     }
 }

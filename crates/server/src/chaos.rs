@@ -189,6 +189,30 @@ mod tests {
         assert_eq!(s.injected, [1, 0, 0]);
     }
 
+    /// A frame now leaves in one write, so a torn write delivers the
+    /// length prefix plus part of the payload: the peer still holds a
+    /// frame it can never complete.
+    #[test]
+    fn torn_frame_write_leaves_an_incomplete_frame() {
+        let cfg = ChaosConfig {
+            seed: 42,
+            torn_per_mille: 1000,
+            drop_per_mille: 0,
+            stall_per_mille: 0,
+            stall: Duration::ZERO,
+        };
+        let payload = br#"{"op":"search","query":[1.0,2.0],"epsilon":0.5}"#;
+        let mut s = ChaosStream::new(Sink::default(), cfg);
+        let err = crate::proto::write_frame(&mut s, payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+        let delivered = &s.get_ref().0;
+        let frame_len = 4 + payload.len();
+        assert_eq!(delivered.len(), frame_len / 2);
+        assert_eq!(delivered[..4], (payload.len() as u32).to_le_bytes());
+        let err = crate::proto::read_frame(&mut &delivered[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
     #[test]
     fn dropped_write_delivers_nothing() {
         let cfg = ChaosConfig {

@@ -220,26 +220,7 @@ impl Client {
     /// Sends `body` and parses the response, converting error frames
     /// into [`ClientError::Server`].
     pub fn request(&mut self, body: &str) -> Result<Json, ClientError> {
-        let text = self.request_raw(body)?;
-        let v = json::parse(&text).map_err(ClientError::Protocol)?;
-        match v.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(v),
-            Some(false) => {
-                let err = v.get("error");
-                let code = err
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string();
-                let message = err
-                    .and_then(|e| e.get("message"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                Err(ClientError::Server { code, message })
-            }
-            None => Err(ClientError::Protocol("response missing \"ok\"".to_string())),
-        }
+        decode_response(&self.request_raw(body)?)
     }
 
     /// ε-threshold search.
@@ -455,6 +436,32 @@ impl ShardConn {
             std::thread::sleep(sleep);
             attempt += 1;
         }
+    }
+}
+
+/// Parses a raw response frame, converting an error frame into
+/// [`ClientError::Server`]. [`Client::request`] is
+/// [`Client::request_raw`] followed by this; callers that time the
+/// round trip and the decode separately call the two halves.
+pub fn decode_response(text: &str) -> Result<Json, ClientError> {
+    let v = json::parse(text).map_err(ClientError::Protocol)?;
+    match v.get("ok").and_then(Json::as_bool) {
+        Some(true) => Ok(v),
+        Some(false) => {
+            let err = v.get("error");
+            let code = err
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string();
+            let message = err
+                .and_then(|e| e.get("message"))
+                .and_then(Json::as_str)
+                .unwrap_or("")
+                .to_string();
+            Err(ClientError::Server { code, message })
+        }
+        None => Err(ClientError::Protocol("response missing \"ok\"".to_string())),
     }
 }
 

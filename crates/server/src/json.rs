@@ -127,6 +127,7 @@ impl Json {
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -140,6 +141,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -217,6 +219,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or raw control byte as one slice. All three
+            // stoppers are ASCII, so in valid UTF-8 (the input is a
+            // `&str`) the run ends on a char boundary: the slice needs
+            // no re-validation and the whole string costs linear time.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -253,18 +266,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8; find the char boundary).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| "bad utf-8")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(format!("raw control character at byte {}", self.pos)),
             }
         }
     }
@@ -390,6 +392,26 @@ mod tests {
         // Depth bomb: rejected, not a stack overflow.
         let bomb = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(parse(&bomb).is_err());
+    }
+
+    /// Raw control bytes stay illegal inside strings, wherever they
+    /// fall in a run of plain bytes; their escaped forms are accepted.
+    #[test]
+    fn raw_control_bytes_in_strings_are_rejected() {
+        for b in 0u8..0x20 {
+            let c = char::from(b);
+            for text in [
+                format!("\"{c}\""),
+                format!("\"abc{c}def\""),
+                format!("\"é€{c}\""),
+                format!("{{\"k{c}\":1}}"),
+            ] {
+                let err = parse(&text).unwrap_err();
+                assert!(err.contains("raw control character"), "{text:?}: {err}");
+            }
+            let escaped = format!("\"a\\u{:04x}b\"", b);
+            assert_eq!(parse(&escaped).unwrap(), Json::Str(format!("a{c}b")));
+        }
     }
 
     #[test]

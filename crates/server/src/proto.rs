@@ -49,10 +49,13 @@
 //! exceeds the frame cap — narrow the search) from `shutting_down`.
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use warptree_core::error::CoreError;
 use warptree_core::search::{BackendKind, KnnParams, Match, SearchParams};
 use warptree_obs::json::{escape, num};
+use warptree_obs::{Counter, Trace};
 
 use crate::json::{self, Json};
 
@@ -61,7 +64,10 @@ use crate::json::{self, Json};
 /// bounding per-connection memory.
 pub const MAX_FRAME: u32 = 4 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame. The length prefix and the payload
+/// go out as one buffer in one write: on an unbuffered socket, a
+/// separate 4-byte write leaves the payload behind Nagle's algorithm
+/// until the peer's delayed ACK (about 40 ms per frame).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME as usize {
         return Err(io::Error::new(
@@ -69,9 +75,63 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Read timeout of a served connection: how often an idle connection
+/// thread wakes up to check for shutdown between frames.
+pub const CONN_READ_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Prepares a socket fresh from `accept` for a frame loop: blocking
+/// mode (nonblocking-ness is inherited from the listener on some
+/// platforms), [`CONN_READ_TIMEOUT`] so the thread notices shutdown
+/// between requests, and `TCP_NODELAY` so no response waits on the
+/// peer's ACK.
+pub fn prepare_accepted(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(CONN_READ_TIMEOUT))
+}
+
+/// Refuses a connection over the connection cap: a best-effort typed
+/// `overloaded` frame before the close, so the client sees a retryable
+/// error instead of a bare reset. The short write timeout bounds the
+/// time the accept thread spends on it.
+pub fn reject_connection(mut stream: TcpStream) {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = write_frame(
+        &mut stream,
+        error_response(
+            ErrorCode::Overloaded,
+            "connection limit reached; retry with backoff",
+        )
+        .as_bytes(),
+    );
+}
+
+/// Writes one response frame on a served connection, adding its payload
+/// size to `bytes` and, when the request is traced, recording a `write`
+/// span under `parent` (the request's service span). Untraced, the span
+/// is the no-op handle: one branch, no clock read. Returns `false` when
+/// the write failed and the connection should close.
+pub fn respond(
+    w: &mut impl Write,
+    resp: &str,
+    bytes: &Counter,
+    trace: &Trace,
+    parent: Option<u32>,
+) -> bool {
+    bytes.add(resp.len() as u64);
+    let span = trace.span_with_parent(parent, "write");
+    if span.is_active() {
+        span.attr_u64("bytes", resp.len() as u64);
+    }
+    write_frame(w, resp.as_bytes()).is_ok()
 }
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF
@@ -735,6 +795,87 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"op\":\"health\"}");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"second");
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    /// A writer that records each `write` call separately.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// One `write` per frame (a separate 4-byte write would leave the
+    /// payload behind Nagle), carrying the same bytes as before: the
+    /// u32-LE length, then the payload.
+    #[test]
+    fn write_frame_issues_one_write_with_unchanged_bytes() {
+        for payload in [&b""[..], b"{\"op\":\"health\"}", &[b'x'; 70_000][..]] {
+            let mut w = RecordingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes.len(), 1, "payload of {} bytes", payload.len());
+            let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(payload);
+            assert_eq!(w.writes[0], expected);
+            assert_eq!(w.flushes, 1);
+        }
+    }
+
+    /// An oversized payload is refused before anything is written.
+    #[test]
+    fn write_frame_refuses_oversized_payload_without_writing() {
+        let mut w = RecordingWriter::default();
+        let big = vec![b'x'; MAX_FRAME as usize + 1];
+        let err = write_frame(&mut w, &big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(w.writes.is_empty());
+    }
+
+    /// The shared accepted-socket setup leaves a socket accepted from a
+    /// nonblocking listener (as both frontends' accept loops have it)
+    /// blocking, with the connection read timeout and `TCP_NODELAY`.
+    #[test]
+    fn prepare_accepted_sets_nodelay_and_read_timeout() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut accepted, _) = loop {
+            match listener.accept() {
+                Ok(pair) => break pair,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        prepare_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(CONN_READ_TIMEOUT));
+        // Blocking with a timeout: an idle read times out instead of
+        // failing `WouldBlock` at once, and a frame still arrives whole.
+        let t = std::time::Instant::now();
+        let mut byte = [0u8; 1];
+        let err = accepted.read(&mut byte).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err}"
+        );
+        assert!(t.elapsed() >= CONN_READ_TIMEOUT / 2, "{:?}", t.elapsed());
+        write_frame(&mut client, b"ping").unwrap();
+        assert_eq!(read_frame(&mut accepted).unwrap().unwrap(), b"ping");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! hot reloads change which snapshot *new* requests pin, nothing else.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,8 +42,8 @@ use warptree_obs::{json as obs_json, MetricsRegistry, Trace};
 use crate::http::MetricsHttp;
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
-    self, error_response, ok_response, read_frame_idle_aware, write_frame, ErrorCode, FrameEvent,
-    Request,
+    self, error_response, ok_response, prepare_accepted, read_frame_idle_aware, reject_connection,
+    ErrorCode, FrameEvent, Request,
 };
 use crate::snapshot::{instrument_snapshot, ReloadWatcher, SnapshotCell};
 
@@ -772,38 +772,13 @@ fn accept_loop(listener: TcpListener, ctx: Arc<Ctx>, pool: Arc<WorkerPool>) {
     drop(pool); // last reference → WorkerPool::drop drains and joins
 }
 
-/// A rejected connection gets a best-effort typed error frame before
-/// the close, so its client sees `overloaded` instead of a bare reset.
-/// Short write timeout: this runs on the accept thread.
-fn reject_connection(mut stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = write_frame(
-        &mut stream,
-        error_response(
-            ErrorCode::Overloaded,
-            "connection limit reached; retry with backoff",
-        )
-        .as_bytes(),
-    );
-}
-
 /// How many consecutive zero-progress 100 ms read timeouts we tolerate
 /// *inside* a frame before giving up on the connection (~30 s). Between
 /// frames the timeout just means "idle" and we poll the shutdown flag.
 const FRAME_STALL_LIMIT: u32 = 300;
 
 fn handle_conn(mut stream: TcpStream, ctx: &Ctx, pool: &WorkerPool) {
-    // Nonblocking-ness is inherited from the listener on some
-    // platforms; frames want blocking reads with a timeout so the
-    // thread notices shutdown between requests.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
+    if prepare_accepted(&stream).is_err() {
         return;
     }
     loop {
@@ -848,18 +823,19 @@ fn serve_one(payload: &[u8], stream: &mut TcpStream, ctx: &Ctx, pool: &WorkerPoo
             if pe.code == ErrorCode::UnsupportedVersion {
                 ctx.registry.counter("server.unsupported_version").incr();
             }
-            return respond(stream, &error_response(pe.code, &pe.message));
+            return respond(stream, ctx, &error_response(pe.code, &pe.message));
         }
     };
 
     if req.is_control() {
         let resp = clamp_oversized(control_response(&req, ctx), &ctx.registry);
-        return respond(stream, &resp);
+        return respond(stream, ctx, &resp);
     }
 
     if ctx.shutdown.load(Ordering::SeqCst) {
         return respond(
             stream,
+            ctx,
             &error_response(ErrorCode::ShuttingDown, "server is draining"),
         );
     }
@@ -880,7 +856,8 @@ fn serve_one(payload: &[u8], stream: &mut TcpStream, ctx: &Ctx, pool: &WorkerPoo
     };
 
     // Query work goes through the bounded pool: the admission point.
-    let (tx, rx) = mpsc::channel::<String>();
+    let op = req.op_label();
+    let (tx, rx) = mpsc::channel::<(String, Option<Timed>)>();
     let deadline = started + ctx.deadline;
     let job_ctx = JobCtx {
         cell: ctx.cell.clone(),
@@ -891,53 +868,84 @@ fn serve_one(payload: &[u8], stream: &mut TcpStream, ctx: &Ctx, pool: &WorkerPoo
         max_parallelism: ctx.max_parallelism,
         deadline,
         proto_version,
-        trace,
+        trace: trace.clone(),
         trace_wanted,
-        slowlog: ctx.slowlog.clone(),
     };
     let job = Box::new(move || {
-        let resp = if Instant::now() > deadline {
+        let done = if Instant::now() > deadline {
             job_ctx.registry.counter("server.deadline_exceeded").incr();
-            error_response(
-                ErrorCode::DeadlineExceeded,
-                "deadline expired before a worker was available",
+            (
+                error_response(
+                    ErrorCode::DeadlineExceeded,
+                    "deadline expired before a worker was available",
+                ),
+                None,
             )
         } else {
             run_timed(&job_ctx, req, started)
         };
-        let _ = tx.send(resp);
+        let _ = tx.send(done);
     });
 
-    let resp = match pool.try_submit(job) {
+    let (resp, timed) = match pool.try_submit(job) {
         Ok(()) => {
             ctx.registry.counter("server.accepted").incr();
             match rx.recv() {
-                Ok(resp) => resp,
+                Ok(done) => done,
                 // Worker panicked mid-query (sender dropped); the pool
                 // survives, this request does not.
                 Err(_) => {
                     ctx.registry.counter("server.internal_errors").incr();
-                    error_response(ErrorCode::Internal, "query execution failed")
+                    (
+                        error_response(ErrorCode::Internal, "query execution failed"),
+                        None,
+                    )
                 }
             }
         }
         Err(SubmitError::Overloaded) => {
             ctx.registry.counter("server.rejected_overload").incr();
-            error_response(
-                ErrorCode::Overloaded,
-                "request queue is full; retry with backoff",
+            (
+                error_response(
+                    ErrorCode::Overloaded,
+                    "request queue is full; retry with backoff",
+                ),
+                None,
             )
         }
         Err(SubmitError::ShuttingDown) => {
             ctx.registry.counter("server.rejected_shutdown").incr();
-            error_response(ErrorCode::ShuttingDown, "server is draining")
+            (
+                error_response(ErrorCode::ShuttingDown, "server is draining"),
+                None,
+            )
         }
     };
     let resp = clamp_oversized(resp, &ctx.registry);
     ctx.registry
         .histogram("server.request_ns")
         .record(started.elapsed().as_nanos() as u64);
-    respond(stream, &resp)
+    let service_span = timed.as_ref().and_then(|t| t.service_span);
+    let ok = proto::respond(
+        stream,
+        &resp,
+        &ctx.registry.counter("server.response_bytes"),
+        &trace,
+        service_span,
+    );
+    // Offered after the write, so a traced entry in the ring carries
+    // the `write` span too (an inline trace is rendered into the
+    // response before it is sent and cannot).
+    if let Some(t) = timed {
+        ctx.slowlog.offer(
+            op,
+            ctx.cell.get().generation,
+            t.queue_ns.saturating_add(t.service_ns),
+            t.queue_ns,
+            &trace,
+        );
+    }
+    ok
 }
 
 /// Replaces a response too large for one frame with a typed error.
@@ -955,8 +963,11 @@ fn clamp_oversized(resp: String, registry: &MetricsRegistry) -> String {
     )
 }
 
-fn respond(stream: &mut TcpStream, resp: &str) -> bool {
-    write_frame(stream, resp.as_bytes()).is_ok() && stream.flush().is_ok()
+/// An untraced response on the connection thread (parse errors,
+/// control ops, refusals).
+fn respond(stream: &mut TcpStream, ctx: &Ctx, resp: &str) -> bool {
+    let bytes = ctx.registry.counter("server.response_bytes");
+    proto::respond(stream, resp, &bytes, &Trace::noop(), None)
 }
 
 fn control_response(req: &Request, ctx: &Ctx) -> String {
@@ -1073,7 +1084,16 @@ struct JobCtx {
     /// traces come back inline in the response; sampler-only traces go
     /// to the slow-query ring alone.
     trace_wanted: bool,
-    slowlog: Arc<SlowLog>,
+}
+
+/// How long an executed request took, handed back with its response so
+/// the connection thread can finish the request's telemetry after the
+/// frame is written.
+struct Timed {
+    /// The `server.service` span's id, the parent of the `write` span.
+    service_span: Option<u32>,
+    queue_ns: u64,
+    service_ns: u64,
 }
 
 /// Wraps [`execute`] with the server-side timing split: `queue_ns`
@@ -1081,19 +1101,19 @@ struct JobCtx {
 /// For v4 clients both land in a `"timings"` object on every ok
 /// response, and a client-requested trace rides along as `"trace"`;
 /// older clients get byte-identical responses to the pre-tracing
-/// protocol. Completed requests are then offered to the slow-query
-/// ring.
-fn run_timed(job: &JobCtx, req: Request, admitted: Instant) -> String {
+/// protocol. The connection thread offers the completed request to the
+/// slow-query ring once the response is written.
+fn run_timed(job: &JobCtx, req: Request, admitted: Instant) -> (String, Option<Timed>) {
     let queue_ns = admitted.elapsed().as_nanos() as u64;
     job.registry.histogram("server.queue_ns").record(queue_ns);
-    let op = req.op_label();
     let span = job.trace.span("server.service");
     if span.is_active() {
-        span.attr_str("op", op);
+        span.attr_str("op", req.op_label());
         span.attr_u64("queue_ns", queue_ns);
     }
     let service_start = Instant::now();
-    let mut resp = execute(job, req);
+    let service_span = span.span_id();
+    let mut resp = execute(job, req, service_span);
     drop(span);
     let service_ns = service_start.elapsed().as_nanos() as u64;
     job.registry
@@ -1111,14 +1131,12 @@ fn run_timed(job: &JobCtx, req: Request, admitted: Instant) -> String {
         }
         resp.push('}');
     }
-    job.slowlog.offer(
-        op,
-        job.cell.get().generation,
-        queue_ns.saturating_add(service_ns),
+    let timed = Timed {
+        service_span,
         queue_ns,
-        &job.trace,
-    );
-    resp
+        service_ns,
+    };
+    (resp, Some(timed))
 }
 
 /// Runs one query through the degraded fan-out path and applies the
@@ -1205,7 +1223,11 @@ fn coverage_suffix(out: &QueryOutput) -> String {
     }
 }
 
-fn execute(job: &JobCtx, req: Request) -> String {
+/// Executes one query op and renders its response. `service` is the
+/// request's service span, the parent of the `encode` spans that time
+/// the response rendering.
+fn execute(job: &JobCtx, req: Request, service: Option<u32>) -> String {
+    let encode_span = || job.trace.span_with_parent(service, "encode");
     // The write path never pins a snapshot — it *produces* one.
     let req = match req {
         Request::Ingest { sequences } => return execute_ingest(job, sequences),
@@ -1221,6 +1243,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
             params.threads = clamp(params.threads);
             let req = QueryRequest::threshold_params(&query, params).capped(job.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, _)| {
+                let _encode = encode_span();
                 let suffix = coverage_suffix(&out);
                 ok_response(
                     "search",
@@ -1236,6 +1259,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
             params.threads = clamp(params.threads);
             let req = QueryRequest::knn_params(&query, params).capped(job.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, _)| {
+                let _encode = encode_span();
                 let suffix = coverage_suffix(&out);
                 let matches = out.into_ranked();
                 ok_response(
@@ -1274,6 +1298,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
                     .capped(job.max_query_len);
                 match degraded_query(job, &snap, &req) {
                     Ok((out, _)) => {
+                        let _encode = encode_span();
                         let suffix = coverage_suffix(&out);
                         Item::Body(format!(
                             "{{{}{}}}",
@@ -1361,6 +1386,7 @@ fn execute(job: &JobCtx, req: Request) -> String {
             // while the shared bundle still accumulates the totals.
             let req = QueryRequest::threshold_params(&query, params).capped(job.max_query_len);
             degraded_query(job, &snap, &req).map(|(out, stats)| {
+                let _encode = encode_span();
                 let suffix = coverage_suffix(&out);
                 ok_response(
                     "explain",
@@ -1545,7 +1571,6 @@ mod tests {
             proto_version: 3,
             trace: Trace::noop(),
             trace_wanted: false,
-            slowlog,
         };
         (job, registry)
     }
@@ -1565,7 +1590,7 @@ mod tests {
             queries: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
             params: SearchParams::with_epsilon(1.0),
         };
-        let resp = execute(&job, req.clone());
+        let resp = execute(&job, req.clone(), None);
         assert!(resp.contains("\"code\":\"deadline_exceeded\""), "{resp}");
         assert_eq!(
             registry
@@ -1583,7 +1608,7 @@ mod tests {
 
     fn job_with_live_deadline(mut job: JobCtx, req: Request) {
         job.deadline = Instant::now() + Duration::from_secs(60);
-        let resp = execute(&job, req);
+        let resp = execute(&job, req, None);
         assert!(resp.contains("\"ok\":true"), "{resp}");
     }
 
@@ -1614,6 +1639,7 @@ mod tests {
                 queries: queries.clone(),
                 params: SearchParams::with_epsilon(10.0),
             },
+            None,
         );
         assert!(sequential.contains("\"ok\":true"), "{sequential}");
         for threads in [2u32, 8] {
@@ -1623,6 +1649,7 @@ mod tests {
                     queries: queries.clone(),
                     params: SearchParams::with_epsilon(10.0).parallel(threads),
                 },
+                None,
             );
             assert_eq!(sequential, parallel, "threads={threads}");
         }
@@ -1636,6 +1663,7 @@ mod tests {
                 queries,
                 params: SearchParams::with_epsilon(10.0).parallel(64),
             },
+            None,
         );
         assert_eq!(sequential, clamped);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1661,6 +1689,7 @@ mod tests {
                 query: vec![1.0, 2.0],
                 params: SearchParams::with_epsilon(1.0).on_backend(BackendKind::Esa),
             },
+            None,
         );
         assert!(resp.contains("\"code\":\"unsupported_backend\""), "{resp}");
         assert_eq!(
@@ -1677,6 +1706,7 @@ mod tests {
                 query: vec![1.0, 2.0],
                 params: KnnParams::new(1).on_backend(BackendKind::Esa),
             },
+            None,
         );
         assert!(resp.contains("\"code\":\"unsupported_backend\""), "{resp}");
 
@@ -1687,6 +1717,7 @@ mod tests {
                 query: vec![1.0, 2.0],
                 params: SearchParams::with_epsilon(1.0),
             },
+            None,
         );
         let pinned = execute(
             &job,
@@ -1694,6 +1725,7 @@ mod tests {
                 query: vec![1.0, 2.0],
                 params: SearchParams::with_epsilon(1.0).on_backend(BackendKind::Tree),
             },
+            None,
         );
         assert!(unpinned.contains("\"ok\":true"), "{unpinned}");
         assert_eq!(unpinned, pinned);
@@ -1718,6 +1750,7 @@ mod tests {
                 queries: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
                 params: SearchParams::with_epsilon(1.0).parallel(4),
             },
+            None,
         );
         assert!(resp.contains("\"code\":\"deadline_exceeded\""), "{resp}");
         assert_eq!(

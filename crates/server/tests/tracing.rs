@@ -213,6 +213,84 @@ fn sampled_traces_land_in_the_slowlog_ring() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The span in `trace` named `name`; panics if absent.
+fn span<'a>(trace: &'a Json, name: &str) -> &'a Json {
+    trace
+        .get("spans")
+        .and_then(|s| s.as_arr())
+        .unwrap()
+        .iter()
+        .find(|s| s.get("name").and_then(|n| n.as_str()) == Some(name))
+        .unwrap_or_else(|| panic!("span {name:?} missing from {}", trace.render()))
+}
+
+/// The wire path decomposes: a traced request records `encode` (the
+/// response rendering) and `write` (the frame write) spans under its
+/// `server.service` span, the ring entry is completed after the write
+/// so it carries both, and `server.response_bytes` counts every
+/// response payload byte.
+#[test]
+fn encode_and_write_spans_and_response_bytes() {
+    let dir = tmpdir("wire");
+    let store = build_index(&dir);
+    let query: Vec<f64> = store.iter().next().unwrap().1.values()[0..5].to_vec();
+    let config = ServerConfig {
+        trace_sample: 1,
+        slow_ms: 0,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(&dir, config).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let mut sent_bytes = 0u64;
+    let mut last = String::new();
+    for eps in [0.5, 1.5] {
+        last = client
+            .request_raw(&search_body_v(&query, eps, 4, ""))
+            .unwrap();
+        assert!(last.contains("\"ok\":true"), "{last}");
+        sent_bytes += last.len() as u64;
+    }
+
+    // Same connection: the previous request's entry is in the ring
+    // before this frame is read.
+    let resp = client
+        .request_raw(r#"{"op":"slowlog","version":4}"#)
+        .unwrap();
+    sent_bytes += resp.len() as u64;
+    let parsed = json::parse(&resp).unwrap();
+    let newest = &parsed.get("entries").and_then(|e| e.as_arr()).unwrap()[0];
+    let trace = newest.get("trace").expect("sampled entry keeps its trace");
+    let service = span(trace, "server.service").get("id").cloned();
+    for name in ["encode", "write"] {
+        assert_eq!(
+            span(trace, name).get("parent").cloned(),
+            service,
+            "{name} is a child of server.service"
+        );
+    }
+    let write = span(trace, "write");
+    assert_eq!(
+        write
+            .get("attrs")
+            .and_then(|a| a.get("bytes"))
+            .and_then(|b| b.as_u64()),
+        Some(last.len() as u64)
+    );
+    assert!(write.get("dur_ns").and_then(|d| d.as_u64()).unwrap() > 0);
+
+    let stats = client.stats().unwrap();
+    let counted = stats
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("server.response_bytes"))
+        .and_then(|v| v.as_u64());
+    assert_eq!(counted, Some(sent_bytes));
+
+    handle.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The metrics exposition satellite: the same Prometheus text is
 /// served over the framed `{"op":"metrics"}` op and the plain-HTTP
 /// `GET /metrics` endpoint, with `# TYPE` lines and no duplicates.

@@ -31,6 +31,17 @@ use warptree::{
 };
 use warptree_data::{load_csv, save_csv};
 
+/// `println!`/`eprintln!` for the status lines of the long-running
+/// commands (`serve`, `shard-coordinator`), minus the panic on a write
+/// error: a reader that takes the address banner and closes its end of
+/// the pipe must not take the server down with it.
+macro_rules! status {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -987,14 +998,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.metrics_addr = o.get("metrics-addr").map(str::to_string);
 
     if !signal::install_handlers() {
-        eprintln!(
+        status!(
+            std::io::stderr(),
             "warning: SIGINT/SIGTERM handlers unavailable; stop via the protocol `shutdown` op"
         );
     }
     let handle = Server::start(&dir, config.clone()).map_err(|e| e.to_string())?;
     // One parseable line so scripts can discover the bound port.
-    println!("serving {} on {}", dir.display(), handle.addr());
-    println!(
+    status!(
+        std::io::stdout(),
+        "serving {} on {}",
+        dir.display(),
+        handle.addr()
+    );
+    status!(
+        std::io::stdout(),
         "  workers {}, queue depth {}, max conns {}, deadline {:?}, reload poll {:?}, \
          per-request parallelism cap {}",
         config.workers,
@@ -1004,7 +1022,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         config.reload_interval,
         config.max_parallelism
     );
-    println!(
+    status!(
+        std::io::stdout(),
         "  slow-query threshold {} ms, trace sample {}, slowlog capacity {}",
         config.slow_ms,
         if config.trace_sample == 0 {
@@ -1015,7 +1034,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         config.slowlog_capacity
     );
     if let Some(maddr) = handle.metrics_addr() {
-        println!("  metrics exposition on http://{maddr}/metrics");
+        status!(
+            std::io::stdout(),
+            "  metrics exposition on http://{maddr}/metrics"
+        );
     }
     use std::io::Write as _;
     std::io::stdout().flush().ok();
@@ -1023,10 +1045,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     while !signal::shutdown_requested() && !handle.is_shutting_down() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    eprintln!("shutdown requested; draining in-flight requests…");
+    status!(
+        std::io::stderr(),
+        "shutdown requested; draining in-flight requests…"
+    );
     handle.request_shutdown();
     handle.join();
-    eprintln!("drained; bye");
+    status!(std::io::stderr(), "drained; bye");
     Ok(())
 }
 
@@ -1198,18 +1223,24 @@ fn cmd_shard_coordinator(args: &[String]) -> Result<(), String> {
     config.slowlog_capacity = o.parse_num("slowlog-capacity", config.slowlog_capacity)?;
 
     if !signal::install_handlers() {
-        eprintln!(
+        status!(
+            std::io::stderr(),
             "warning: SIGINT/SIGTERM handlers unavailable; stop via the protocol `shutdown` op"
         );
     }
     let shard_count = config.shard_addrs.len();
     let handle = Coordinator::start(&dir, config.clone()).map_err(|e| e.to_string())?;
     // One parseable line so scripts can discover the bound port.
-    println!("coordinating {shard_count} shards on {}", handle.addr());
+    status!(
+        std::io::stdout(),
+        "coordinating {shard_count} shards on {}",
+        handle.addr()
+    );
     for (i, addr) in config.shard_addrs.iter().enumerate() {
-        println!("  shard {i}: {addr}");
+        status!(std::io::stdout(), "  shard {i}: {addr}");
     }
-    println!(
+    status!(
+        std::io::stdout(),
         "  scatter lanes {}, deadline {:?}, per-shard timeout {:?}, max conns {}, \
          health poll {:?}",
         config.workers,
@@ -1224,10 +1255,13 @@ fn cmd_shard_coordinator(args: &[String]) -> Result<(), String> {
     while !signal::shutdown_requested() && !handle.is_shutting_down() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    eprintln!("shutdown requested; draining in-flight requests…");
+    status!(
+        std::io::stderr(),
+        "shutdown requested; draining in-flight requests…"
+    );
     handle.request_shutdown();
     handle.join();
-    eprintln!("drained; bye");
+    status!(std::io::stderr(), "drained; bye");
     Ok(())
 }
 
@@ -1365,6 +1399,14 @@ fn cmd_bench_client(args: &[String]) -> Result<(), String> {
         report.queue_wait_us[2],
         report.service_us[0],
         report.service_us[2]
+    );
+    println!(
+        "  client split: decode p50 {} µs, p99 {} µs; response p50 {} B, p99 {} B; residual p50 {} µs",
+        report.decode_us[0],
+        report.decode_us[2],
+        report.response_bytes[0],
+        report.response_bytes[2],
+        report.residual_us
     );
     if let Some(out) = o.get("out") {
         std::fs::write(out, report.to_json() + "\n").map_err(|e| e.to_string())?;

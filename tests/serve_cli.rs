@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use warptree::server::json::{self, Json};
 use warptree::server::Client;
@@ -144,5 +145,102 @@ fn serve_and_bench_client_round_trip() {
     let status = server.wait().expect("serve exits");
     assert!(status.success(), "serve exited with {status}");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Connects to `addr`, retrying while the server starts.
+fn connect_when_up(addr: &str) -> Client {
+    let started = Instant::now();
+    loop {
+        match Client::connect(addr) {
+            Ok(c) => return c,
+            Err(_) if started.elapsed() < Duration::from_secs(30) => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("server at {addr} never came up: {e}"),
+        }
+    }
+}
+
+/// Regression: a reader that takes the banner and closes its end of the
+/// pipe (as `serve_and_bench_client_round_trip` does) must not kill the
+/// server. `serve` used to write its start-up lines with `println!`,
+/// which panics on a closed stdout, so the server died mid-run whenever
+/// the reader hung up before the last of those lines. Here stdout is
+/// closed before the first line, which makes the race certain.
+#[test]
+fn serve_and_coordinator_survive_a_closed_stdout() {
+    let dir = std::env::temp_dir().join(format!("warptree-serve-epipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("data.csv");
+    let cluster = dir.join("cluster");
+    run_ok(&[
+        "gen",
+        "--kind",
+        "walk",
+        "--sequences",
+        "8",
+        "--len",
+        "30",
+        "--seed",
+        "3",
+        "--out",
+        csv.to_str().unwrap(),
+    ]);
+    run_ok(&[
+        "shard-init",
+        "--input",
+        csv.to_str().unwrap(),
+        "--out-dir",
+        cluster.to_str().unwrap(),
+        "--shards",
+        "1",
+        "--categories",
+        "8",
+    ]);
+    // A free port, so the address is known without reading stdout.
+    let free_port = || {
+        std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .to_string()
+    };
+    let spawn_closed_stdout = |args: &[&str]| {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("command starts");
+        drop(child.stdout.take()); // the reader hangs up at once
+        child
+    };
+
+    let shard_addr = free_port();
+    let shard_dir = cluster.join("shard-0000");
+    let mut shard =
+        spawn_closed_stdout(&["serve", shard_dir.to_str().unwrap(), "--addr", &shard_addr]);
+    let health = connect_when_up(&shard_addr).health().unwrap();
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("serving"));
+
+    let coord_addr = free_port();
+    let mut coord = spawn_closed_stdout(&[
+        "shard-coordinator",
+        cluster.to_str().unwrap(),
+        "--shards",
+        &shard_addr,
+        "--addr",
+        &coord_addr,
+    ]);
+    let mut client = connect_when_up(&coord_addr);
+    let v = client.search(&[0.0, 0.5, 1.0], 2.0, None).unwrap();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+
+    client.shutdown().unwrap();
+    assert!(coord.wait().unwrap().success(), "coordinator exit status");
+    connect_when_up(&shard_addr).shutdown().unwrap();
+    assert!(shard.wait().unwrap().success(), "serve exit status");
     std::fs::remove_dir_all(&dir).unwrap();
 }
