@@ -58,8 +58,8 @@ fn bench_merge(c: &mut Criterion) {
     let (p1, p2) = (dir.join("a.wt"), dir.join("b.wt"));
     warptree_disk::write_tree(&t1, &p1).unwrap();
     warptree_disk::write_tree(&t2, &p2).unwrap();
-    let da = DiskTree::open(&p1, cat.clone(), 64, 512).unwrap();
-    let db = DiskTree::open(&p2, cat.clone(), 64, 512).unwrap();
+    let da = DiskTree::open(&p1, cat.clone(), 64).unwrap();
+    let db = DiskTree::open(&p2, cat.clone(), 64).unwrap();
 
     let mut g = c.benchmark_group("disk_tree");
     g.sample_size(10);
@@ -68,7 +68,7 @@ fn bench_merge(c: &mut Criterion) {
         b.iter(|| black_box(merge_trees(&da, &db, &cat, &out).unwrap()))
     });
     g.bench_function("full_traversal", |b| {
-        let merged = DiskTree::open(&out, cat.clone(), 64, 512).unwrap();
+        let merged = DiskTree::open(&out, cat.clone(), 64).unwrap();
         b.iter(|| {
             let mut n = 0u64;
             merged.for_each_suffix_below(merged.root(), &mut |_, _, _| n += 1);

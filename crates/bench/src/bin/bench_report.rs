@@ -332,7 +332,6 @@ fn main() {
                 cat.clone(),
                 backend,
                 64,
-                512,
             )
             .expect("race open");
             let file_bytes = std::fs::metadata(&resolved.index_path).expect("stat").len();

@@ -75,7 +75,7 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap();
     let tree_path = dir.join("ablation.wt");
     let size = warptree_disk::write_tree(&built.tree, &tree_path).unwrap();
-    let disk = DiskTree::open(&tree_path, built.cat.clone(), 256, 4096).unwrap();
+    let disk = DiskTree::open(&tree_path, built.cat.clone(), 256).unwrap();
     let mem = measure_index(&built.tree, &built.alphabet, &store, &queries, &params);
     let dsk = measure_index(&disk, &built.alphabet, &store, &queries, &params);
     println!(
@@ -120,7 +120,7 @@ fn main() {
     // Verify the incremental result answers like the direct tree.
     let incr_path = dir.join(format!("incr-{}.wt", 1.max(store.len() / 16)));
     if incr_path.exists() {
-        let incr = DiskTree::open(&incr_path, built.cat.clone(), 256, 4096).unwrap();
+        let incr = DiskTree::open(&incr_path, built.cat.clone(), 256).unwrap();
         let a = measure_index(&incr, &built.alphabet, &store, &queries, &params);
         assert_eq!(a.answers_per_query, mem.answers_per_query);
         println!("    (merged index verified: identical answers)");

@@ -206,9 +206,7 @@ pub fn to_disk(built: &BuiltIndex, tag: &str, cache_bytes: u64) -> DiskIndex {
     let path = std::env::temp_dir().join(format!("warptree-run-{}-{tag}.wt", std::process::id()));
     let file_size = warptree_disk::write_tree(&built.tree, &path).unwrap();
     let cache_pages = ((cache_bytes / warptree_disk::PAGE_SIZE as u64) as usize).max(16);
-    let disk =
-        warptree_disk::DiskTree::open(&path, built.cat.clone(), cache_pages, cache_pages * 8)
-            .unwrap();
+    let disk = warptree_disk::DiskTree::open(&path, built.cat.clone(), cache_pages).unwrap();
     DiskIndex {
         disk,
         file_size,

@@ -154,13 +154,12 @@ impl WarpTable {
         self.bound_state = None;
         let stride = self.query.len() + 1;
         let r = self.stats.len() + 1; // 1-based row index being added
-        let prev_start = (r - 1) * stride;
-        self.cells.push(f64::INFINITY); // column 0 boundary
-        let mut min = f64::INFINITY;
+        let row_start = r * stride;
+        // The whole row at once, pre-set to the out-of-band value; only
+        // in-band cells are overwritten below.
+        self.cells.resize(row_start + stride, f64::INFINITY);
         let Some((lo, hi)) = self.band(r) else {
             // Entire row outside the band: all-infinite row.
-            self.cells
-                .extend(std::iter::repeat_n(f64::INFINITY, self.query.len()));
             let stat = RowStat {
                 dist: f64::INFINITY,
                 min: f64::INFINITY,
@@ -168,33 +167,33 @@ impl WarpTable {
             self.stats.push(stat);
             return stat;
         };
-        let mut diag = self.cells[prev_start + lo - 1]; // γ(x-1, r-1)
+        let (done, row) = self.cells.split_at_mut(row_start);
+        let prev = &done[row_start - stride..];
+        let mut min = f64::INFINITY;
+        let mut diag = prev[lo - 1]; // γ(x-1, r-1)
         let mut left = f64::INFINITY; // γ(x-1, r)
-                                      // Columns before the band are out of range.
-        for _ in 1..lo {
-            self.cells.push(f64::INFINITY);
-        }
-        for x in lo..=hi {
-            let up = self.cells[prev_start + x]; // γ(x, r-1)
+        for ((cell, &up), &q) in row[lo..=hi]
+            .iter_mut()
+            .zip(&prev[lo..=hi]) // γ(x, r-1)
+            .zip(&self.query[lo - 1..hi])
+        {
             let best = diag.min(up).min(left);
-            let cell = if best.is_finite() {
-                base(self.query[x - 1]) + best
+            *cell = if best.is_finite() {
+                base(q) + best
             } else {
                 f64::INFINITY
             };
-            self.cells.push(cell);
-            if cell < min {
-                min = cell;
+            if *cell < min {
+                min = *cell;
             }
             diag = up;
-            left = cell;
-        }
-        for _ in hi + 1..stride {
-            self.cells.push(f64::INFINITY);
+            left = *cell;
         }
         self.cells_computed += (hi - lo + 1) as u64;
-        let dist = self.cells[r * stride + self.query.len()];
-        let stat = RowStat { dist, min };
+        let stat = RowStat {
+            dist: row[stride - 1],
+            min,
+        };
         self.stats.push(stat);
         stat
     }
@@ -257,12 +256,12 @@ impl WarpTable {
                 _ => (stride, 0),
             }
         });
+        let row_start = r * stride;
+        self.cells.resize(row_start + stride, f64::INFINITY);
         let band = self.band(r);
         if pf >= stride || band.is_none() {
             // No viable predecessor at all (or the row is fully out of
             // band): the row is all-infinite and costs nothing.
-            self.cells
-                .extend(std::iter::repeat_n(f64::INFINITY, stride));
             let stat = RowStat {
                 dist: f64::INFINITY,
                 min: f64::INFINITY,
@@ -273,24 +272,23 @@ impl WarpTable {
         }
         let (blo, bhi) = band.expect("checked above");
         let lo = blo.max(pf.max(1));
-        self.cells.push(f64::INFINITY); // column 0 boundary
-        self.cells
-            .extend(std::iter::repeat_n(f64::INFINITY, lo - 1));
+        let (done, row) = self.cells.split_at_mut(row_start);
+        let prev = &done[prev_start..];
         let mut min = f64::INFINITY;
         let mut nf = stride; // first/last ≤-limit column of the new row
         let mut nl = 0usize;
         let mut computed = 0u64;
-        let mut diag = self.cells[prev_start + lo - 1];
+        let mut diag = prev[lo - 1];
         let mut left = f64::INFINITY;
-        let mut x = lo;
-        while x <= bhi {
+        for x in lo..=bhi {
             // Right of the previous row's viable range only the left
             // neighbour can stay within the threshold; once it leaves,
-            // the rest of the row is provably above `limit`.
+            // the rest of the row is provably above `limit` (and stays
+            // at its preset infinity).
             if x > pl + 1 && left > limit {
                 break;
             }
-            let up = self.cells[prev_start + x];
+            let up = prev[x];
             let best = diag.min(up).min(left);
             // Cells that cannot finish within `limit` are poisoned: the
             // column's remainder still has to be paid downstream.
@@ -306,7 +304,7 @@ impl WarpTable {
             } else {
                 f64::INFINITY
             };
-            self.cells.push(cell);
+            row[x] = cell;
             if cell < min {
                 min = cell;
             }
@@ -318,13 +316,9 @@ impl WarpTable {
             }
             diag = up;
             left = cell;
-            x += 1;
         }
-        self.cells
-            .extend(std::iter::repeat_n(f64::INFINITY, stride - x));
         self.cells_computed += computed;
-        let dist = self.cells[r * stride + n];
-        let stat = RowStat { dist, min };
+        let stat = RowStat { dist: row[n], min };
         self.stats.push(stat);
         self.bound_state = Some(if nf == stride { (stride, 0) } else { (nf, nl) });
         stat

@@ -285,13 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn subthread_count_returns_to_baseline() {
-        let before = active_subthreads();
-        let _ = parallel_map(4, (0..32).collect::<Vec<u32>>(), |_, v| v);
-        assert_eq!(active_subthreads(), before);
-    }
-
-    #[test]
     fn worker_panic_propagates() {
         let caught = std::panic::catch_unwind(|| {
             parallel_map(4, (0..16).collect::<Vec<u32>>(), |_, v| {

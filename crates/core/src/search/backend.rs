@@ -167,16 +167,6 @@ pub trait IndexBackend {
     }
 }
 
-/// Former name of [`IndexBackend`], kept as a bound-compatible alias:
-/// every `T: IndexBackend` satisfies `T: SuffixTreeIndex` via the
-/// blanket impl, so downstream bounds keep compiling. New code should
-/// name `IndexBackend` directly.
-#[deprecated(since = "0.1.0", note = "renamed to IndexBackend")]
-pub trait SuffixTreeIndex: IndexBackend {}
-
-#[allow(deprecated)]
-impl<T: IndexBackend + ?Sized> SuffixTreeIndex for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_alias_accepts_any_backend() {
+    fn defaults_describe_an_untruncated_tree() {
         struct Nothing;
         impl IndexBackend for Nothing {
             type Node = ();
@@ -210,11 +200,9 @@ mod tests {
                 0
             }
         }
-        #[allow(deprecated)]
-        fn takes_alias<T: SuffixTreeIndex>(t: &T) -> u64 {
-            t.suffix_count()
-        }
-        assert_eq!(takes_alias(&Nothing), 0);
         assert_eq!(Nothing.backend_kind(), BackendKind::Tree);
+        assert_eq!(Nothing.depth_limit(), None);
+        assert_eq!(Nothing.suffix_count_below(()), None);
+        assert_eq!(Nothing.segment_hint(()), None);
     }
 }

@@ -178,7 +178,7 @@ fn verify_topk_parallel(
     metrics: &SearchMetrics,
 ) -> Vec<Match> {
     use crate::search::postprocess::{group_candidates, verify_group, VerifyScratch};
-    let groups = group_candidates(candidates, sp.epsilon);
+    let groups = group_candidates(store, candidates, sp.epsilon);
     let env = sp
         .cascade
         .then(|| crate::search::cascade::QueryEnvelope::new(query, sp.window));
@@ -190,7 +190,7 @@ fn verify_topk_parallel(
     });
     let (_, states) = crate::parallel::parallel_map_with(
         sp.threads.max(1) as usize,
-        groups,
+        (0..groups.len()).collect(),
         || {
             (
                 crate::dtw::WarpTable::new(query, sp.window),
@@ -198,10 +198,11 @@ fn verify_topk_parallel(
                 metrics.scratch(),
             )
         },
-        |(table, vs, scratch), _i, (key, lens)| {
+        |(table, vs, scratch), _i, g| {
+            let (key, lens) = groups.get(g);
             let limit = shared.lock().expect("top-k heap poisoned").threshold;
             let mut out = Vec::new();
-            verify_group(store, table, vs, key, &lens, limit, env, scratch, &mut out);
+            verify_group(store, table, vs, key, lens, limit, env, scratch, &mut out);
             if !out.is_empty() {
                 shared.lock().expect("top-k heap poisoned").insert(out);
             }
@@ -217,10 +218,15 @@ fn verify_topk_parallel(
 }
 
 /// Greedily drops matches that overlap a better match in the same
-/// sequence. `matches` must be sorted by ascending distance.
-fn filter_overlaps(matches: &[Match]) -> Vec<Match> {
-    let mut picked: Vec<Match> = Vec::new();
+/// sequence, stopping once `k` are picked: a pick depends only on the
+/// picks before it, so the first `k` are those of the full scan.
+/// `matches` must be sorted by ascending distance.
+fn filter_overlaps(matches: &[Match], k: usize) -> Vec<Match> {
+    let mut picked: Vec<Match> = Vec::with_capacity(k.min(matches.len()));
     for m in matches {
+        if picked.len() == k {
+            break;
+        }
         if !picked.iter().any(|p| p.occ.overlaps(&m.occ)) {
             picked.push(*m);
         }
@@ -297,7 +303,7 @@ pub(crate) fn knn_unchecked<T: IndexBackend + Sync>(
                 .then(a.occ.cmp(&b.occ))
         });
         let candidates = if params.non_overlapping {
-            filter_overlaps(&sorted)
+            filter_overlaps(&sorted, params.k)
         } else {
             sorted
         };
@@ -493,6 +499,40 @@ mod tests {
                     let (par, _) = knn(&tree, &alphabet, &store, &[5.0, 9.0], &par_params);
                     assert_eq!(seq, par, "k={k} allow_overlaps={allow} t={threads}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn overlap_filter_stopped_at_k_equals_full_scan_prefix() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // The unbounded greedy scan the k cut-off must agree with.
+        let full_scan = |matches: &[Match]| {
+            let mut picked: Vec<Match> = Vec::new();
+            for m in matches {
+                if !picked.iter().any(|p| p.occ.overlaps(&m.occ)) {
+                    picked.push(*m);
+                }
+            }
+            picked
+        };
+        let mut rng = StdRng::seed_from_u64(0xBB67_AE85);
+        for trial in 0..100 {
+            let mut matches: Vec<Match> = (0..rng.gen_range(0..80usize))
+                .map(|_| Match {
+                    occ: Occurrence::new(
+                        SeqId(rng.gen_range(0..3u32)),
+                        rng.gen_range(0..60u32),
+                        rng.gen_range(1..12u32),
+                    ),
+                    dist: rng.gen_range(0..20u32) as f64 * 0.5,
+                })
+                .collect();
+            matches.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.occ.cmp(&b.occ)));
+            let full = full_scan(&matches);
+            for k in [1usize, 2, 5, 10, 100] {
+                let want = &full[..k.min(full.len())];
+                assert_eq!(filter_overlaps(&matches, k), want, "trial {trial} k={k}");
             }
         }
     }

@@ -13,8 +13,6 @@
 //! is what keeps the post-processing term `n·L̄·|Q|` of §5.5 from
 //! swamping the filtering savings at large ε.
 
-use std::collections::HashMap;
-
 use crate::dtw::WarpTable;
 use crate::parallel::parallel_map_with;
 use crate::search::answers::{AnswerSet, Candidate, Match, SearchParams};
@@ -26,11 +24,64 @@ use crate::sequence::{Occurrence, SeqId, SequenceStore, Value};
 /// with each length list sorted and deduplicated — the deterministic
 /// unit of verification work (sequential and parallel paths both walk
 /// groups in this order, which is what keeps their outputs identical).
+///
+/// Stored flat: one key per group and every group's lengths back to
+/// back in one buffer.
+#[derive(Debug, Default)]
+pub(crate) struct CandidateGroups {
+    keys: Vec<(SeqId, u32)>,
+    /// Group `g`'s lengths are `lens[ends[g - 1]..ends[g]]` (from 0 for
+    /// the first group).
+    ends: Vec<usize>,
+    lens: Vec<u32>,
+}
+
+impl CandidateGroups {
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Group `g`: its `(seq, start)` key and its lengths.
+    pub(crate) fn get(&self, g: usize) -> ((SeqId, u32), &[u32]) {
+        let from = if g == 0 { 0 } else { self.ends[g - 1] };
+        (self.keys[g], &self.lens[from..self.ends[g]])
+    }
+
+    /// Every group, in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ((SeqId, u32), &[u32])> {
+        (0..self.len()).map(|g| self.get(g))
+    }
+}
+
+/// Groups `candidates` by `(seq, start)` with a counting sort over
+/// their flat corpus positions (sequence `s` starts right after
+/// sequences `0..s`): one count per position in the candidates' span,
+/// one shared length buffer, then each bucket sorted and deduplicated
+/// in place.
 pub(crate) fn group_candidates(
+    store: &SequenceStore,
     candidates: &[Candidate],
     epsilon: f64,
-) -> Vec<((SeqId, u32), Vec<u32>)> {
-    let mut by_start: HashMap<(SeqId, u32), Vec<u32>> = HashMap::new();
+) -> CandidateGroups {
+    let mut groups = CandidateGroups::default();
+    // `first[s]`: flat position of sequence `s`'s first element.
+    let mut first = Vec::with_capacity(store.len() + 1);
+    let mut total = 0u64;
+    for (_, seq) in store.iter() {
+        first.push(total);
+        total += seq.len() as u64;
+    }
+    first.push(total);
+    let pos = |c: &Candidate| first[c.occ.seq.0 as usize] + c.occ.start as u64;
+    let Some(lo) = candidates.iter().map(pos).min() else {
+        return groups;
+    };
+    let hi = candidates.iter().map(pos).max().expect("non-empty");
+    // Bucket `b` holds position `lo + b`. Counts land one slot up, so
+    // after the prefix sum `next[b]` is where bucket `b` starts — and,
+    // once the scatter has advanced it, where it ends.
+    let mut next = vec![0usize; (hi - lo) as usize + 2];
     for cand in candidates {
         // Exact, no float slack: `lower_bound` is the *same* accumulated
         // value the filter compared against ε at emission (`stat.dist`
@@ -41,17 +92,46 @@ pub(crate) fn group_candidates(
             cand.lower_bound <= epsilon,
             "filter emitted a candidate above epsilon"
         );
-        by_start
-            .entry((cand.occ.seq, cand.occ.start))
-            .or_default()
-            .push(cand.occ.len);
+        next[(pos(cand) - lo) as usize + 1] += 1;
     }
-    let mut groups: Vec<((SeqId, u32), Vec<u32>)> = by_start.into_iter().collect();
-    groups.sort_unstable_by_key(|(key, _)| *key);
-    for (_, lens) in &mut groups {
-        lens.sort_unstable();
-        lens.dedup();
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
     }
+    let mut lens = vec![0u32; candidates.len()];
+    for cand in candidates {
+        let slot = &mut next[(pos(cand) - lo) as usize];
+        lens[*slot] = cand.occ.len;
+        *slot += 1;
+    }
+    // Walk the buckets in position order — ascending `(seq, start)` —
+    // compacting each sorted, deduplicated bucket towards the front.
+    let (mut seq, mut from, mut kept) = (0usize, 0usize, 0usize);
+    for (b, &to) in next[..next.len() - 1].iter().enumerate() {
+        if to == from {
+            continue;
+        }
+        let p = lo + b as u64;
+        while first[seq + 1] <= p {
+            seq += 1;
+        }
+        lens[from..to].sort_unstable();
+        let mut prev = None;
+        for i in from..to {
+            let len = lens[i];
+            if prev != Some(len) {
+                lens[kept] = len;
+                kept += 1;
+                prev = Some(len);
+            }
+        }
+        groups
+            .keys
+            .push((SeqId(seq as u32), (p - first[seq]) as u32));
+        groups.ends.push(kept);
+        from = to;
+    }
+    lens.truncate(kept);
+    groups.lens = lens;
     groups
 }
 
@@ -261,7 +341,7 @@ pub fn postprocess(
     metrics: &SearchMetrics,
 ) -> AnswerSet {
     let epsilon = params.epsilon;
-    let groups = group_candidates(candidates, epsilon);
+    let groups = group_candidates(store, candidates, epsilon);
     let threads = params.threads.max(1) as usize;
     // The envelopes are read-only and band-matched to the tables, so
     // one per query is shared by every group on every worker.
@@ -273,7 +353,7 @@ pub fn postprocess(
     if threads > 1 && groups.len() > 1 {
         let (per_group, states) = parallel_map_with(
             threads,
-            groups,
+            (0..groups.len()).collect(),
             || {
                 (
                     WarpTable::new(query, params.window),
@@ -281,11 +361,10 @@ pub fn postprocess(
                     metrics.scratch(),
                 )
             },
-            |(table, vs, scratch), _i, (key, lens)| {
+            |(table, vs, scratch), _i, g| {
+                let (key, lens) = groups.get(g);
                 let mut out = Vec::new();
-                verify_group(
-                    store, table, vs, key, &lens, epsilon, env, scratch, &mut out,
-                );
+                verify_group(store, table, vs, key, lens, epsilon, env, scratch, &mut out);
                 out
             },
         );
@@ -302,9 +381,9 @@ pub fn postprocess(
         let mut table = WarpTable::new(query, params.window);
         let mut vs = VerifyScratch::default();
         let mut out = Vec::new();
-        for (key, lens) in groups {
+        for (key, lens) in groups.iter() {
             verify_group(
-                store, &mut table, &mut vs, key, &lens, epsilon, env, metrics, &mut out,
+                store, &mut table, &mut vs, key, lens, epsilon, env, metrics, &mut out,
             );
         }
         for m in out {
@@ -406,7 +485,7 @@ mod tests {
     #[test]
     fn deterministic_group_order() {
         // Matches come back sorted by (seq, start) then length — not in
-        // the HashMap's arbitrary iteration order.
+        // candidate order.
         let store = SequenceStore::from_values(vec![vec![1.0; 8], vec![1.0; 8]]);
         let q = [1.0, 1.0];
         let params = SearchParams::with_epsilon(0.5);
@@ -458,6 +537,64 @@ mod tests {
                 );
                 assert_eq!(m1.snapshot(), mp.snapshot(), "eps={eps} t={threads}");
             }
+        }
+    }
+
+    /// Reference grouping: a map of length lists, sorted by key, each
+    /// list sorted and deduplicated.
+    fn grouped_by_hashmap(candidates: &[Candidate]) -> Vec<((SeqId, u32), Vec<u32>)> {
+        let mut by_start: std::collections::HashMap<(SeqId, u32), Vec<u32>> =
+            std::collections::HashMap::new();
+        for c in candidates {
+            by_start
+                .entry((c.occ.seq, c.occ.start))
+                .or_default()
+                .push(c.occ.len);
+        }
+        let mut groups: Vec<_> = by_start.into_iter().collect();
+        groups.sort_unstable_by_key(|(key, _)| *key);
+        for (_, lens) in &mut groups {
+            lens.sort_unstable();
+            lens.dedup();
+        }
+        groups
+    }
+
+    #[test]
+    fn counting_sort_grouping_equals_hashmap_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x6A09_E667);
+        for trial in 0..200 {
+            // Several sequences, some empty, so flat positions skip
+            // over sequence boundaries.
+            let n_seqs = rng.gen_range(1..6usize);
+            let store = SequenceStore::from_values(
+                (0..n_seqs)
+                    .map(|_| vec![0.0; rng.gen_range(0..40usize)])
+                    .collect::<Vec<_>>(),
+            );
+            let mut cands = Vec::new();
+            if store.total_len() > 0 {
+                for _ in 0..rng.gen_range(0..300usize) {
+                    let seq = loop {
+                        let s = rng.gen_range(0..n_seqs as u32);
+                        if !store.get(SeqId(s)).is_empty() {
+                            break s;
+                        }
+                    };
+                    let n = store.get(SeqId(seq)).len() as u32;
+                    let start = rng.gen_range(0..n);
+                    let len = rng.gen_range(1..=n - start);
+                    cands.push(cand(seq, start, len, 0.0));
+                    if rng.gen_bool(0.3) {
+                        // Exact duplicate.
+                        cands.push(cand(seq, start, len, 0.0));
+                    }
+                }
+            }
+            let groups = group_candidates(&store, &cands, 0.0);
+            let got: Vec<_> = groups.iter().map(|(k, l)| (k, l.to_vec())).collect();
+            assert_eq!(got, grouped_by_hashmap(&cands), "trial {trial}");
         }
     }
 

@@ -72,16 +72,13 @@ impl AnyNode {
 
 impl AnyIndex {
     /// Opens `path` as `backend`, against the categorized store its
-    /// labels reference. `cache_pages` sizes the page buffer pool;
-    /// `cache_nodes` the tree's decoded-node cache (unused by the ESA,
-    /// which loads eagerly).
+    /// labels reference. `cache_pages` sizes the page buffer pool.
     pub fn open_with(
         vfs: &dyn Vfs,
         path: &Path,
         cat: Arc<CatStore>,
         backend: BackendKind,
         cache_pages: usize,
-        cache_nodes: usize,
     ) -> Result<Self> {
         match backend {
             BackendKind::Tree => Ok(AnyIndex::Tree(DiskTree::open_with(
@@ -89,7 +86,6 @@ impl AnyIndex {
                 path,
                 cat,
                 cache_pages,
-                cache_nodes,
             )?)),
             BackendKind::Esa => Ok(AnyIndex::Esa(DiskEsa::open_with(
                 vfs,
@@ -150,15 +146,6 @@ impl AnyIndex {
         match self {
             AnyIndex::Tree(t) => t.io_stats(),
             AnyIndex::Esa(e) => e.io_stats(),
-        }
-    }
-
-    /// Decoded-node cache `(hits, misses)`. The ESA has no node cache
-    /// (its records live decoded in memory), so it reports zeros.
-    pub fn node_cache_stats(&self) -> (u64, u64) {
-        match self {
-            AnyIndex::Tree(t) => t.node_cache_stats(),
-            AnyIndex::Esa(_) => (0, 0),
         }
     }
 
@@ -306,17 +293,9 @@ mod tests {
         let esa_path = tmp("esa");
         write_esa_with(&RealVfs, &EsaIndex::build(cat.clone(), false), &esa_path).unwrap();
 
-        let tree = AnyIndex::open_with(
-            &RealVfs,
-            &tree_path,
-            cat.clone(),
-            BackendKind::Tree,
-            8,
-            64,
-        )
-        .unwrap();
-        let esa =
-            AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa, 8, 64).unwrap();
+        let tree =
+            AnyIndex::open_with(&RealVfs, &tree_path, cat.clone(), BackendKind::Tree, 8).unwrap();
+        let esa = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Esa, 8).unwrap();
         assert_eq!(tree.kind(), BackendKind::Tree);
         assert_eq!(esa.kind(), BackendKind::Esa);
         assert!(tree.as_tree().is_some() && tree.as_esa().is_none());
@@ -343,8 +322,7 @@ mod tests {
         let cat = Arc::new(CatStore::from_symbols(vec![vec![0, 1]], 2));
         let esa_path = tmp("wrongway");
         write_esa_with(&RealVfs, &EsaIndex::build(cat.clone(), false), &esa_path).unwrap();
-        let err =
-            AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Tree, 4, 16).unwrap_err();
+        let err = AnyIndex::open_with(&RealVfs, &esa_path, cat, BackendKind::Tree, 4).unwrap_err();
         assert!(matches!(
             err,
             DiskError::UnsupportedBackend { ref found } if found == "esa"

@@ -70,7 +70,6 @@ pub fn append_to_index_dir_with(
         Arc::new(alphabet.encode_store(&store)),
         backend,
         16,
-        16,
     )?;
     if probe.depth_limit().is_some() {
         return Err(DiskError::BadRecord(
@@ -123,8 +122,8 @@ pub fn append_to_index_dir_with(
         |corpus_tmp| save_corpus_with(vfs, &store, &alphabet, corpus_tmp).map(|_| ()),
         |index_tmp| match backend {
             BackendKind::Tree => {
-                let old = DiskTree::open_with(vfs, &resolved.index_path, cat.clone(), 256, 2048)?;
-                let new = DiskTree::open_with(vfs, &batch_path, cat.clone(), 256, 2048)?;
+                let old = DiskTree::open_with(vfs, &resolved.index_path, cat.clone(), 256)?;
+                let new = DiskTree::open_with(vfs, &batch_path, cat.clone(), 256)?;
                 merge_trees_with(vfs, &old, &new, &cat, index_tmp).map(|_| ())
             }
             BackendKind::Esa => {
@@ -177,7 +176,7 @@ mod tests {
     ) {
         let resolved = resolve_dir_with(&RealVfs, dir).unwrap();
         let (store, alphabet, cat) = crate::corpus::load_corpus(&resolved.corpus_path).unwrap();
-        let tree = DiskTree::open(&resolved.index_path, cat.clone(), 32, 256).unwrap();
+        let tree = DiskTree::open(&resolved.index_path, cat.clone(), 32).unwrap();
         (store, alphabet, cat, tree)
     }
 

@@ -1,16 +1,21 @@
 //! CRC-32 (IEEE 802.3) checksums for page integrity.
 //!
-//! Implemented in-house (table-driven, reflected polynomial `0xEDB88320`)
-//! to keep the crate dependency-free; every page of a tree or corpus file
-//! carries a CRC so torn writes and bit rot are detected at read time.
+//! Implemented in-house (reflected polynomial `0xEDB88320`) to keep the
+//! crate dependency-free; every page of a tree or corpus file carries a
+//! CRC so torn writes and bit rot are detected at read time. The hot
+//! loop is slicing-by-8: eight 256-entry tables fold eight input bytes
+//! per step, producing exactly the values of the bytewise table-driven
+//! algorithm (the first table *is* the bytewise table).
 
-/// Lazily built 256-entry lookup table.
-fn table() -> &'static [u32; 256] {
+/// Lazily built slicing tables: `t[0]` is the classic bytewise table,
+/// `t[k][b]` the CRC contribution of byte `b` followed by `k` zero
+/// bytes.
+fn tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -21,16 +26,34 @@ fn table() -> &'static [u32; 256] {
             }
             *e = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            }
+        }
         t
     })
 }
 
 /// CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = table();
+    let t = tables();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

@@ -329,8 +329,8 @@ impl DiskEsa {
         Ok(self.reader.page_count())
     }
 
-    /// Routes this file's CRC-failure counter into `reg` (the ESA has
-    /// no lazily decoded node cache to meter).
+    /// Routes this file's buffer-pool and CRC-failure counters into
+    /// `reg`.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
         self.reader
             .meter_cache(reg, "disk.page_cache.hits", "disk.page_cache.misses");

@@ -29,6 +29,10 @@
 //!
 //! All integers are little-endian. Every page carries a CRC-32, so
 //! corruption anywhere in the file is detected on first touch.
+//!
+//! [`DiskTree`] answers traversal calls by parsing each record in place
+//! from its (shared, CRC-verified) buffer-pool page; only a record that
+//! straddles a page boundary is copied out first.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -39,8 +43,7 @@ use warptree_core::search::IndexBackend;
 use warptree_core::sequence::SeqId;
 
 use crate::error::{DiskError, Result};
-use crate::lru::LruCache;
-use crate::pager::{IoStats, PagedReader};
+use crate::pager::{IoStats, PagedReader, PAGE_DATA};
 use crate::vfs::{RealVfs, Vfs};
 
 /// Size of the file header in logical bytes.
@@ -161,6 +164,72 @@ pub fn encode_node(node: &DiskNode) -> Vec<u8> {
     out
 }
 
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+}
+
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+/// Byte length of the record whose fixed head is `head`.
+fn record_len(head: &[u8]) -> u64 {
+    NODE_HEAD as u64 + 12 * (u32_at(head, 24) as u64 + u32_at(head, 28) as u64)
+}
+
+/// A node record's bytes, read in place (see [`encode_node`] for the
+/// layout). Its length is the one [`record_len`] gives for its head.
+#[derive(Clone, Copy)]
+struct Record<'a>(&'a [u8]);
+
+impl<'a> Record<'a> {
+    fn label(self) -> (SeqId, u32, u32) {
+        (
+            SeqId(u32_at(self.0, 0)),
+            u32_at(self.0, 4),
+            u32_at(self.0, 8),
+        )
+    }
+
+    fn suffix_count(self) -> u64 {
+        u64_at(self.0, 12)
+    }
+
+    fn max_lead_run(self) -> u32 {
+        u32_at(self.0, 20)
+    }
+
+    fn n_suffixes(self) -> usize {
+        u32_at(self.0, 24) as usize
+    }
+
+    /// `(seq, start, lead_run)` of every attached suffix, in file order.
+    fn suffixes(self) -> impl Iterator<Item = (SeqId, u32, u32)> + 'a {
+        let end = NODE_HEAD + 12 * self.n_suffixes();
+        self.0[NODE_HEAD..end]
+            .chunks_exact(12)
+            .map(|b| (SeqId(u32_at(b, 0)), u32_at(b, 4), u32_at(b, 8)))
+    }
+
+    /// `(first_symbol, offset)` of every child, sorted by symbol.
+    fn children(self) -> impl Iterator<Item = (Symbol, u64)> + 'a {
+        let start = NODE_HEAD + 12 * self.n_suffixes();
+        self.0[start..]
+            .chunks_exact(12)
+            .map(|b| (u32_at(b, 0), u64_at(b, 4)))
+    }
+
+    fn to_node(self) -> DiskNode {
+        DiskNode {
+            label: self.label(),
+            suffix_count: self.suffix_count(),
+            max_lead_run: self.max_lead_run(),
+            suffixes: self.suffixes().collect(),
+            children: self.children().collect(),
+        }
+    }
+}
+
 /// Panic payload used to abort a tree traversal on an unreadable node.
 ///
 /// The [`IndexBackend`] trait's walk callbacks are infallible, so a
@@ -173,32 +242,26 @@ pub fn encode_node(node: &DiskNode) -> Vec<u8> {
 pub struct TreeReadAbort;
 
 /// A disk-resident suffix tree, query-ready through
-/// [`IndexBackend`]. Decoded nodes are cached in an LRU keyed by
-/// offset; all reads verify page CRCs.
+/// [`IndexBackend`]. Every call parses its node record in place from the
+/// page buffer pool (all reads verify page CRCs); there is no second,
+/// decoded-node cache.
 pub struct DiskTree {
     reader: PagedReader,
     cat: Arc<CatStore>,
     header: Header,
-    nodes: Mutex<LruCache<u64, Arc<DiskNode>>>,
     /// File name this tree was opened from — the segment identity used
     /// in [`DiskError::CorruptionDetected`].
     source: String,
     /// First read failure observed during a traversal (set by
-    /// [`must_read`](Self::must_read) before unwinding).
+    /// [`node`](Self::node) before unwinding).
     read_error: Mutex<Option<DiskError>>,
 }
 
 impl DiskTree {
     /// Opens a tree file against the categorized store its labels
-    /// reference. `cache_pages` sizes the page buffer pool;
-    /// `cache_nodes` the decoded-node cache.
-    pub fn open(
-        path: &Path,
-        cat: Arc<CatStore>,
-        cache_pages: usize,
-        cache_nodes: usize,
-    ) -> Result<Self> {
-        Self::open_with(&RealVfs, path, cat, cache_pages, cache_nodes)
+    /// reference. `cache_pages` sizes the page buffer pool.
+    pub fn open(path: &Path, cat: Arc<CatStore>, cache_pages: usize) -> Result<Self> {
+        Self::open_with(&RealVfs, path, cat, cache_pages)
     }
 
     /// [`open`](Self::open) through an explicit [`Vfs`].
@@ -207,7 +270,6 @@ impl DiskTree {
         path: &Path,
         cat: Arc<CatStore>,
         cache_pages: usize,
-        cache_nodes: usize,
     ) -> Result<Self> {
         let reader = PagedReader::open_with(vfs, path, cache_pages)?;
         let mut buf = vec![0u8; HEADER_SIZE as usize];
@@ -224,7 +286,6 @@ impl DiskTree {
             reader,
             cat,
             header,
-            nodes: Mutex::new(LruCache::new(cache_nodes.max(1))),
             source: path
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
@@ -245,13 +306,54 @@ impl DiskTree {
         self.read_error.lock().take()
     }
 
-    /// Reads a node or aborts the traversal: the error is recorded on
-    /// this tree (CRC failures typed as `CorruptionDetected`) and the
-    /// stack unwinds with [`TreeReadAbort`] for the fan-out layer to
-    /// catch.
-    fn must_read(&self, offset: u64) -> Arc<DiskNode> {
-        match self.read_node(offset) {
-            Ok(n) => n,
+    /// Runs `f` over the record at `offset`, parsed in place from its
+    /// pool page; a record straddling a page boundary is copied out
+    /// first. `f` runs after the pool lock is released.
+    fn with_record<R>(&self, offset: u64, f: impl FnOnce(Record<'_>) -> R) -> Result<R> {
+        let size = self.reader.logical_len();
+        if offset + NODE_HEAD as u64 > size {
+            return Err(DiskError::OutOfBounds {
+                offset,
+                len: NODE_HEAD as u64,
+                size,
+            });
+        }
+        let page = self.reader.page(offset / PAGE_DATA as u64)?;
+        let tail = &page[(offset % PAGE_DATA as u64) as usize..];
+        let len = if tail.len() >= NODE_HEAD {
+            record_len(tail)
+        } else {
+            let mut head = [0u8; NODE_HEAD];
+            head[..tail.len()].copy_from_slice(tail);
+            self.reader
+                .read_exact_at(offset + tail.len() as u64, &mut head[tail.len()..])?;
+            record_len(&head)
+        };
+        // Sanity-bound the counts before trusting (or allocating for)
+        // them.
+        if offset + len > size {
+            return Err(DiskError::BadRecord(format!(
+                "node at {offset} overruns the file"
+            )));
+        }
+        let len = len as usize;
+        if len <= tail.len() {
+            return Ok(f(Record(&tail[..len])));
+        }
+        let mut buf = vec![0u8; len];
+        buf[..tail.len()].copy_from_slice(tail);
+        self.reader
+            .read_exact_at(offset + tail.len() as u64, &mut buf[tail.len()..])?;
+        Ok(f(Record(&buf)))
+    }
+
+    /// [`with_record`](Self::with_record) or abort the traversal: the
+    /// error is recorded on this tree (CRC failures typed as
+    /// `CorruptionDetected`) and the stack unwinds with
+    /// [`TreeReadAbort`] for the fan-out layer to catch.
+    fn node<R>(&self, offset: u64, f: impl FnOnce(Record<'_>) -> R) -> R {
+        match self.with_record(offset, f) {
+            Ok(r) => r,
             Err(e) => {
                 let e = match e {
                     DiskError::CorruptPage { page } => DiskError::CorruptionDetected {
@@ -307,79 +409,20 @@ impl DiskTree {
         self.reader.logical_len()
     }
 
-    /// Decoded-node cache hit/miss totals, `(hits, misses)`.
-    pub fn node_cache_stats(&self) -> (u64, u64) {
-        let nodes = self.nodes.lock();
-        (nodes.hits(), nodes.misses())
-    }
-
-    /// Routes this tree's cache counters into `reg`: the decoded-node
-    /// cache as `disk.node_cache.{hits,misses}` and the page buffer
-    /// pool as `disk.page_cache.{hits,misses}`. Counts accumulated
-    /// before the call are not carried over.
+    /// Routes this tree's buffer-pool counters into `reg` as
+    /// `disk.page_cache.{hits,misses}` (every node access is a pool
+    /// lookup) and its read-path CRC failures as `disk.read_crc_fail`.
+    /// Counts accumulated before the call are not carried over.
     pub fn instrument(&self, reg: &warptree_obs::MetricsRegistry) {
-        self.nodes.lock().set_counters(
-            reg.counter("disk.node_cache.hits"),
-            reg.counter("disk.node_cache.misses"),
-        );
         self.reader
             .meter_cache(reg, "disk.page_cache.hits", "disk.page_cache.misses");
         self.reader.meter_crc_failures(reg, "disk.read_crc_fail");
     }
 
-    /// Reads (or re-uses) the node record at `offset`.
-    pub fn read_node(&self, offset: u64) -> Result<Arc<DiskNode>> {
-        if let Some(n) = self.nodes.lock().get(&offset) {
-            return Ok(n.clone());
-        }
-        let mut head = [0u8; NODE_HEAD];
-        self.reader.read_exact_at(offset, &mut head)?;
-        let label = (
-            SeqId(u32::from_le_bytes(head[0..4].try_into().unwrap())),
-            u32::from_le_bytes(head[4..8].try_into().unwrap()),
-            u32::from_le_bytes(head[8..12].try_into().unwrap()),
-        );
-        let suffix_count = u64::from_le_bytes(head[12..20].try_into().unwrap());
-        let max_lead_run = u32::from_le_bytes(head[20..24].try_into().unwrap());
-        let n_suffixes = u32::from_le_bytes(head[24..28].try_into().unwrap()) as usize;
-        let n_children = u32::from_le_bytes(head[28..32].try_into().unwrap()) as usize;
-        // Sanity-bound the counts before allocating.
-        let body_len = 12 * n_suffixes + 12 * n_children;
-        if offset + (NODE_HEAD + body_len) as u64 > self.reader.logical_len() {
-            return Err(DiskError::BadRecord(format!(
-                "node at {offset} overruns the file"
-            )));
-        }
-        let mut body = vec![0u8; body_len];
-        self.reader
-            .read_exact_at(offset + NODE_HEAD as u64, &mut body)?;
-        let mut suffixes = Vec::with_capacity(n_suffixes);
-        for i in 0..n_suffixes {
-            let b = &body[12 * i..12 * i + 12];
-            suffixes.push((
-                SeqId(u32::from_le_bytes(b[0..4].try_into().unwrap())),
-                u32::from_le_bytes(b[4..8].try_into().unwrap()),
-                u32::from_le_bytes(b[8..12].try_into().unwrap()),
-            ));
-        }
-        let mut children = Vec::with_capacity(n_children);
-        let cbase = 12 * n_suffixes;
-        for i in 0..n_children {
-            let b = &body[cbase + 12 * i..cbase + 12 * i + 12];
-            children.push((
-                u32::from_le_bytes(b[0..4].try_into().unwrap()),
-                u64::from_le_bytes(b[4..12].try_into().unwrap()),
-            ));
-        }
-        let node = Arc::new(DiskNode {
-            label,
-            suffix_count,
-            max_lead_run,
-            suffixes,
-            children,
-        });
-        self.nodes.lock().insert(offset, node.clone());
-        Ok(node)
+    /// Decodes the node record at `offset` (uncached: merge, `to_mem`
+    /// and diagnostics; queries parse records in place instead).
+    pub fn read_node(&self, offset: u64) -> Result<DiskNode> {
+        self.with_record(offset, |r| r.to_node())
     }
 
     /// Materializes the whole file back into an in-memory
@@ -431,15 +474,11 @@ impl IndexBackend for DiskTree {
     }
 
     fn for_each_child(&self, n: u64, f: &mut dyn FnMut(u64)) {
-        let node = self.must_read(n);
-        for &(_, off) in &node.children {
-            f(off);
-        }
+        self.node(n, |r| r.children().for_each(|(_, off)| f(off)));
     }
 
     fn edge_label(&self, n: u64, out: &mut Vec<Symbol>) {
-        let node = self.must_read(n);
-        let (seq, start, len) = node.label;
+        let (seq, start, len) = self.node(n, |r| r.label());
         let s = self.cat.seq(seq);
         out.extend_from_slice(&s[start as usize..(start + len) as usize]);
     }
@@ -447,18 +486,17 @@ impl IndexBackend for DiskTree {
     fn for_each_suffix_below(&self, n: u64, f: &mut dyn FnMut(SeqId, u32, u32)) {
         let mut stack = vec![n];
         while let Some(off) = stack.pop() {
-            let node = self.must_read(off);
-            for &(seq, start, run) in &node.suffixes {
-                f(seq, start, run);
-            }
-            for &(_, coff) in &node.children {
-                stack.push(coff);
-            }
+            self.node(off, |r| {
+                for (seq, start, run) in r.suffixes() {
+                    f(seq, start, run);
+                }
+                stack.extend(r.children().map(|(_, c)| c));
+            });
         }
     }
 
     fn max_lead_run(&self, n: u64) -> u32 {
-        self.must_read(n).max_lead_run
+        self.node(n, |r| r.max_lead_run())
     }
 
     fn is_sparse(&self) -> bool {
@@ -474,10 +512,9 @@ impl IndexBackend for DiskTree {
     }
 
     fn suffix_count_below(&self, n: u64) -> Option<u64> {
-        // Every node record stores its subtree suffix count, and the
-        // record is (re)read through the node cache, so this is one
-        // cached lookup — cheap enough for per-edge `R_d` metering.
-        Some(self.must_read(n).suffix_count)
+        // Every node record stores its subtree suffix count, so this is
+        // one in-place read — cheap enough for per-edge `R_d` metering.
+        Some(self.node(n, |r| r.suffix_count()))
     }
 }
 

@@ -949,7 +949,7 @@ pub fn verify_dir_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
                         continue;
                     }
                     if let Err(e) =
-                        AnyIndex::open_with(vfs, path, cat.clone(), resolved.backend(), 4, 16)
+                        AnyIndex::open_with(vfs, path, cat.clone(), resolved.backend(), 4)
                     {
                         report.files[i + 1].error = Some(format!("parse failed: {e}"));
                     }
@@ -1015,7 +1015,7 @@ pub fn verify_dir_deep_with(vfs: &dyn Vfs, dir: &Path) -> Result<VerifyReport> {
         let name = file_name(path);
         let quarantined = quarantined_names.iter().any(|q| *q == name);
         let (pages, error) =
-            match AnyIndex::open_with(vfs, path, cat.clone(), resolved.backend(), 2, 1) {
+            match AnyIndex::open_with(vfs, path, cat.clone(), resolved.backend(), 2) {
                 Ok(index) => match index.verify_pages() {
                     Ok(pages) => (pages, None),
                     Err(e) => (0, Some(e.to_string())),

@@ -148,7 +148,7 @@ impl<'t> MergeCtx<'t> {
         let (seq, start, len) = node.label;
         self.emit(
             (seq, start + v.skip, len - v.skip),
-            node.suffixes.clone(),
+            node.suffixes,
             out_children,
         )
     }
@@ -164,7 +164,7 @@ impl<'t> MergeCtx<'t> {
             // Same edge: merge suffix labels and child lists.
             let na = self.tree(Side::A).read_node(va.offset)?;
             let nb = self.tree(Side::B).read_node(vb.offset)?;
-            let mut suffixes = na.suffixes.clone();
+            let mut suffixes = na.suffixes;
             suffixes.extend_from_slice(&nb.suffixes);
             let children = self.merge_child_lists(self.children(va)?, self.children(vb)?)?;
             let (seq, start, len) = na.label;
@@ -181,11 +181,7 @@ impl<'t> MergeCtx<'t> {
             let b_first = self.label(b_rest)?[0];
             let children = self.merge_child_lists(self.children(va)?, vec![(b_first, b_rest)])?;
             let (seq, start, len) = na.label;
-            self.emit(
-                (seq, start + va.skip, len - va.skip),
-                na.suffixes.clone(),
-                children,
-            )
+            self.emit((seq, start + va.skip, len - va.skip), na.suffixes, children)
         } else if common == blen {
             let nb = self.tree(Side::B).read_node(vb.offset)?;
             let a_rest = VNode {
@@ -196,11 +192,7 @@ impl<'t> MergeCtx<'t> {
             let a_first = self.label(a_rest)?[0];
             let children = self.merge_child_lists(vec![(a_first, a_rest)], self.children(vb)?)?;
             let (seq, start, len) = nb.label;
-            self.emit(
-                (seq, start + vb.skip, len - vb.skip),
-                nb.suffixes.clone(),
-                children,
-            )
+            self.emit((seq, start + vb.skip, len - vb.skip), nb.suffixes, children)
         } else {
             // Labels diverge inside both edges: fresh internal node for
             // the common prefix, the two rests become its children.
@@ -477,10 +469,8 @@ impl IncrementalBuilder {
                     return Ok(pair[0].clone());
                 }
                 let span = self.metrics.merge_ns.span();
-                let ta =
-                    DiskTree::open_with(self.vfs.as_ref(), &pair[0], self.cat.clone(), 64, 1024)?;
-                let tb =
-                    DiskTree::open_with(self.vfs.as_ref(), &pair[1], self.cat.clone(), 64, 1024)?;
+                let ta = DiskTree::open_with(self.vfs.as_ref(), &pair[0], self.cat.clone(), 64)?;
+                let tb = DiskTree::open_with(self.vfs.as_ref(), &pair[1], self.cat.clone(), 64)?;
                 let path = self.tmp_path(depth, *i);
                 merge_trees_with(self.vfs.as_ref(), &ta, &tb, &self.cat, &path)?;
                 self.vfs.remove_file(&pair[0])?;
@@ -634,10 +624,10 @@ mod tests {
         let (p1, p2, pm) = (dir.join("a.wt"), dir.join("b.wt"), dir.join("m.wt"));
         write_tree(&t1, &p1).unwrap();
         write_tree(&t2, &p2).unwrap();
-        let da = DiskTree::open(&p1, c.clone(), 8, 64).unwrap();
-        let db = DiskTree::open(&p2, c.clone(), 8, 64).unwrap();
+        let da = DiskTree::open(&p1, c.clone(), 8).unwrap();
+        let db = DiskTree::open(&p2, c.clone(), 8).unwrap();
         merge_trees(&da, &db, &c, &pm).unwrap();
-        let merged = DiskTree::open(&pm, c.clone(), 8, 64).unwrap();
+        let merged = DiskTree::open(&pm, c.clone(), 8).unwrap();
         let direct = build_full(c);
         assert_eq!(merged.to_mem().unwrap().canonical(), direct.canonical());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -659,7 +649,7 @@ mod tests {
         let out = dir.join("index.wt");
         let b = IncrementalBuilder::new(c.clone(), TreeKind::Full, 2, dir.clone());
         b.build(&out).unwrap();
-        let disk = DiskTree::open(&out, c.clone(), 8, 64).unwrap();
+        let disk = DiskTree::open(&out, c.clone(), 8).unwrap();
         let direct = build_full(c);
         assert_eq!(disk.to_mem().unwrap().canonical(), direct.canonical());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -672,7 +662,7 @@ mod tests {
         let out = dir.join("index.wt");
         let b = IncrementalBuilder::new(c.clone(), TreeKind::Sparse, 1, dir.clone());
         b.build(&out).unwrap();
-        let disk = DiskTree::open(&out, c.clone(), 8, 64).unwrap();
+        let disk = DiskTree::open(&out, c.clone(), 8).unwrap();
         assert!(disk.is_sparse_flag());
         let direct = build_sparse(c);
         assert_eq!(disk.to_mem().unwrap().canonical(), direct.canonical());
@@ -696,8 +686,8 @@ mod tests {
             .with_threads(4)
             .build(&par_out)
             .unwrap();
-        let a = DiskTree::open(&seq_out, c.clone(), 8, 64).unwrap();
-        let b = DiskTree::open(&par_out, c.clone(), 8, 64).unwrap();
+        let a = DiskTree::open(&seq_out, c.clone(), 8).unwrap();
+        let b = DiskTree::open(&par_out, c.clone(), 8).unwrap();
         assert_eq!(
             a.to_mem().unwrap().canonical(),
             b.to_mem().unwrap().canonical()
@@ -722,7 +712,7 @@ mod tests {
                 .with_truncation(spec)
                 .build(&out)
                 .unwrap();
-            let disk = DiskTree::open(&out, c.clone(), 8, 64).unwrap();
+            let disk = DiskTree::open(&out, c.clone(), 8).unwrap();
             assert_eq!(disk.header().depth_limit, Some(3));
             let direct = match kind {
                 TreeKind::Full => warptree_suffix::build_full_truncated(c.clone(), spec),
@@ -764,10 +754,10 @@ mod tests {
         let (p1, p2, pm) = (dir.join("a.wt"), dir.join("b.wt"), dir.join("m.wt"));
         write_tree(&t1, &p1).unwrap();
         write_tree(&t2, &p2).unwrap();
-        let da = DiskTree::open(&p1, c.clone(), 8, 64).unwrap();
-        let db = DiskTree::open(&p2, c.clone(), 8, 64).unwrap();
+        let da = DiskTree::open(&p1, c.clone(), 8).unwrap();
+        let db = DiskTree::open(&p2, c.clone(), 8).unwrap();
         merge_trees(&da, &db, &c, &pm).unwrap();
-        let merged = DiskTree::open(&pm, c.clone(), 8, 64).unwrap();
+        let merged = DiskTree::open(&pm, c.clone(), 8).unwrap();
         assert_eq!(merged.to_mem().unwrap().canonical(), t1.canonical());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -12,9 +12,11 @@
 //!   known).
 //! * [`PagedReader`] serves random reads through a [`LruCache`] of
 //!   verified pages; a failed CRC surfaces as
-//!   [`DiskError::CorruptPage`].
+//!   [`DiskError::CorruptPage`]. Pages are shared as `Arc<[u8]>`, so a
+//!   caller can parse a record in place after the pool lock is gone.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -150,7 +152,7 @@ impl IoStats {
 }
 
 struct ReaderInner {
-    cache: LruCache<u64, Box<[u8]>>,
+    cache: LruCache<u64, Arc<[u8]>>,
     /// Charged once per failed page CRC on the read path (noop until
     /// [`PagedReader::meter_crc_failures`] wires a registry counter).
     crc_fail: warptree_obs::Counter,
@@ -158,7 +160,9 @@ struct ReaderInner {
 
 /// Random-access reader over the logical byte space with an LRU buffer
 /// pool. Cheap to share: all mutability is behind a lock, so `&self`
-/// methods suffice (concurrent queries share the pool).
+/// methods suffice (concurrent queries share the pool). The lock covers
+/// only the pool's bookkeeping: a miss reads and CRC-checks its page
+/// with the lock released.
 pub struct PagedReader {
     file: Box<dyn VfsFile>,
     logical_len: u64,
@@ -234,6 +238,13 @@ impl PagedReader {
     /// bypassing the buffer pool — the scrub/deep-verify primitive: a
     /// cached (already verified) page must not mask on-disk rot.
     pub fn verify_page(&self, page_idx: u64) -> Result<()> {
+        self.fetch(page_idx).map(drop)
+    }
+
+    /// Reads page `page_idx` from the file and checks its CRC, returning
+    /// the payload. Touches neither the pool nor its lock (a CRC
+    /// failure only bumps the failure counter).
+    fn fetch(&self, page_idx: u64) -> Result<Vec<u8>> {
         if page_idx >= self.pages {
             return Err(DiskError::OutOfBounds {
                 offset: page_idx * PAGE_DATA as u64,
@@ -248,7 +259,8 @@ impl PagedReader {
             self.inner.lock().crc_fail.incr();
             return Err(DiskError::CorruptPage { page: page_idx });
         }
-        Ok(())
+        raw.truncate(PAGE_DATA);
+        Ok(raw)
     }
 
     /// Reads `buf.len()` bytes at `logical` into `buf`.
@@ -263,37 +275,26 @@ impl PagedReader {
         let mut done = 0usize;
         while done < buf.len() {
             let pos = logical + done as u64;
-            let page_idx = pos / PAGE_DATA as u64;
             let in_page = (pos % PAGE_DATA as u64) as usize;
             let take = (PAGE_DATA - in_page).min(buf.len() - done);
-            self.with_page(page_idx, |page| {
-                buf[done..done + take].copy_from_slice(&page[in_page..in_page + take]);
-            })?;
+            let page = self.page(pos / PAGE_DATA as u64)?;
+            buf[done..done + take].copy_from_slice(&page[in_page..in_page + take]);
             done += take;
         }
         Ok(())
     }
 
-    /// Runs `f` over the verified payload of page `page_idx`.
-    fn with_page(&self, page_idx: u64, f: impl FnOnce(&[u8])) -> Result<()> {
-        debug_assert!(page_idx < self.pages);
-        let mut inner = self.inner.lock();
-        if let Some(page) = inner.cache.get(&page_idx) {
-            f(page);
-            return Ok(());
+    /// The verified payload of page `page_idx` ([`PAGE_DATA`] bytes),
+    /// shared with the buffer pool. A miss reads and CRC-checks the
+    /// page without holding the pool lock; two threads missing the same
+    /// page at once both read it, and both count as misses.
+    pub(crate) fn page(&self, page_idx: u64) -> Result<Arc<[u8]>> {
+        if let Some(page) = self.inner.lock().cache.get(&page_idx) {
+            return Ok(page.clone());
         }
-        let mut raw = vec![0u8; PAGE_SIZE];
-        self.file.read_at(page_idx * PAGE_SIZE as u64, &mut raw)?;
-        let stored = u32::from_le_bytes(raw[PAGE_DATA..].try_into().unwrap());
-        if crc32(&raw[..PAGE_DATA]) != stored {
-            inner.crc_fail.incr();
-            return Err(DiskError::CorruptPage { page: page_idx });
-        }
-        raw.truncate(PAGE_DATA);
-        let page: Box<[u8]> = raw.into_boxed_slice();
-        f(&page);
-        inner.cache.insert(page_idx, page);
-        Ok(())
+        let page: Arc<[u8]> = self.fetch(page_idx)?.into();
+        self.inner.lock().cache.insert(page_idx, page.clone());
+        Ok(page)
     }
 }
 

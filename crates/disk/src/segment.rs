@@ -109,7 +109,6 @@ pub fn append_segment_with(
         Arc::new(alphabet.encode_store(&store)),
         backend,
         16,
-        16,
     )?;
     if probe.depth_limit().is_some() {
         return Err(DiskError::BadRecord(
@@ -269,8 +268,8 @@ pub fn compact_once_with(
         BackendKind::Tree => {
             // The paper's §4.1 binary merge: one sequential pass over
             // the two tree files.
-            let left = DiskTree::open_with(vfs, &left_path, cat.clone(), 256, 2048)?;
-            let right = DiskTree::open_with(vfs, &right_path, cat.clone(), 256, 2048)?;
+            let left = DiskTree::open_with(vfs, &left_path, cat.clone(), 256)?;
+            let right = DiskTree::open_with(vfs, &right_path, cat.clone(), 256)?;
             merge_trees_with(vfs, &left, &right, &cat, &merged_tmp)?;
         }
         BackendKind::Esa => {
@@ -278,14 +277,8 @@ pub fn compact_once_with(
             // merged segment is rebuilt canonically from the corpus
             // over the union of the two sequence ranges — which also
             // guarantees it is byte-identical to a from-scratch build.
-            let base = AnyIndex::open_with(
-                vfs,
-                &resolved.index_path,
-                cat.clone(),
-                BackendKind::Esa,
-                16,
-                16,
-            )?;
+            let base =
+                AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), BackendKind::Esa, 16)?;
             let sparse = base.is_sparse();
             drop(base);
             let range = if pick == 0 {
@@ -361,7 +354,7 @@ pub fn heal_segment_with(vfs: &dyn Vfs, dir: &Path, segment: &str) -> Result<Man
     let meta = old.segments[idx].clone();
     let (store, alphabet, _) = load_corpus_with(vfs, &resolved.corpus_path)?;
     let cat = Arc::new(alphabet.encode_store(&store));
-    let probe = AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), old.backend, 16, 16)?;
+    let probe = AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), old.backend, 16)?;
     let sparse = probe.is_sparse();
     drop(probe);
     let first = meta.start_seq as usize;
@@ -484,7 +477,7 @@ pub fn scrub_dir_with(
 
     // Base index: corruption here is unrecoverable by quarantine.
     let backend = resolved.backend();
-    match AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), backend, 2, 1) {
+    match AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), backend, 2) {
         Ok(index) => {
             index.instrument(reg);
             match index.verify_pages() {
@@ -509,7 +502,7 @@ pub fn scrub_dir_with(
         .unwrap_or_default();
     for meta in segments.iter().filter(|s| !s.quarantined) {
         let path = dir.join(&meta.file);
-        let failed = match AnyIndex::open_with(vfs, &path, cat.clone(), backend, 2, 1) {
+        let failed = match AnyIndex::open_with(vfs, &path, cat.clone(), backend, 2) {
             Ok(index) => {
                 index.instrument(reg);
                 match index.verify_pages() {
@@ -619,7 +612,7 @@ mod tests {
             assert!(verify_dir_with(&RealVfs, &dir).unwrap().is_ok());
 
             // Queries over the segmented snapshot agree with brute force.
-            let snap = open_dir_snapshot_with(&RealVfs, &dir, 64, 256).unwrap();
+            let snap = open_dir_snapshot_with(&RealVfs, &dir, 64).unwrap();
             let req = QueryRequest::threshold_params(&[5.0, 1.0], SearchParams::with_epsilon(0.75));
             let (got, _) = snap.run_query(&req).unwrap();
             let mut stats = warptree_core::search::SearchStats::default();
@@ -643,7 +636,7 @@ mod tests {
             assert!(last.unwrap().segments.is_empty());
             assert_eq!(reg.counter("compaction.runs").get(), 2);
             assert!(verify_dir_with(&RealVfs, &dir).unwrap().is_ok());
-            let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 64, 256).unwrap();
+            let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 64).unwrap();
             assert_eq!(snap2.segments.len(), 0);
             let (got2, _) = snap2.run_query(&req).unwrap();
             assert_eq!(

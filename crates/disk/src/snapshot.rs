@@ -368,25 +368,17 @@ impl DirSnapshot {
 /// Opens the committed generation of `dir` as a [`DirSnapshot`]
 /// **without mutating the directory** — no recovery sweep, no file
 /// removal — so it is safe to run concurrently with a writer committing
-/// the next generation. `cache_pages` sizes the tree's page buffer
-/// pool, `cache_nodes` its decoded-node cache.
+/// the next generation. `cache_pages` sizes each index file's page
+/// buffer pool.
 pub fn open_dir_snapshot_with(
     vfs: &dyn Vfs,
     dir: &Path,
     cache_pages: usize,
-    cache_nodes: usize,
 ) -> Result<DirSnapshot> {
     let resolved = resolve_dir_with(vfs, dir)?;
     let backend = resolved.backend();
     let (store, alphabet, cat) = load_corpus_with(vfs, &resolved.corpus_path)?;
-    let tree = AnyIndex::open_with(
-        vfs,
-        &resolved.index_path,
-        cat.clone(),
-        backend,
-        cache_pages,
-        cache_nodes,
-    )?;
+    let tree = AnyIndex::open_with(vfs, &resolved.index_path, cat.clone(), backend, cache_pages)?;
     let metas: Vec<SegmentMeta> = resolved
         .manifest
         .as_ref()
@@ -406,7 +398,6 @@ pub fn open_dir_snapshot_with(
             cat.clone(),
             backend,
             cache_pages,
-            cache_nodes,
         )?);
         segment_metas.push(meta);
     }
@@ -463,7 +454,7 @@ mod tests {
         let dir = tmpdir("generations");
         let store = build(&dir, vec![vec![1.0, 5.0, 3.0, 5.0, 1.0], vec![4.0, 4.0]]);
         assert_eq!(committed_generation_with(&RealVfs, &dir).unwrap(), 1);
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 32).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
         assert_eq!(snap.generation, 1);
         assert_eq!(snap.store.len(), store.len());
         let (answers, _) = snap
@@ -477,7 +468,7 @@ mod tests {
         // observe it.
         build(&dir, vec![vec![9.0, 9.0, 9.0], vec![2.0, 2.0]]);
         assert_eq!(committed_generation_with(&RealVfs, &dir).unwrap(), 2);
-        let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 8, 32).unwrap();
+        let snap2 = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
         assert_eq!(snap2.generation, 2);
         assert_eq!(snap2.store.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -493,7 +484,7 @@ mod tests {
         let installed = dir.join("index-000002.wt");
         std::fs::write(&staged, b"writer in flight").unwrap();
         std::fs::write(&installed, b"writer in flight").unwrap();
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 4, 16).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 4).unwrap();
         assert_eq!(snap.generation, 1);
         assert!(staged.exists(), "snapshot reopen must not remove staging");
         assert!(

@@ -106,7 +106,7 @@ mod tests {
         let path = tmp("full");
         let size = write_tree(&tree, &path).unwrap();
         assert!(size > HEADER_SIZE);
-        let disk = DiskTree::open(&path, cat, 8, 64).unwrap();
+        let disk = DiskTree::open(&path, cat, 8).unwrap();
         assert_eq!(disk.header().node_count, tree.node_count() as u64);
         assert_eq!(disk.suffix_count(), tree.suffix_count());
         assert!(!disk.is_sparse());
@@ -123,7 +123,7 @@ mod tests {
         let tree = build_sparse(cat.clone());
         let path = tmp("sparse");
         write_tree(&tree, &path).unwrap();
-        let disk = DiskTree::open(&path, cat, 8, 64).unwrap();
+        let disk = DiskTree::open(&path, cat, 8).unwrap();
         assert!(disk.is_sparse());
         assert_eq!(disk.suffix_count(), 3);
         assert_eq!(disk.max_lead_run(disk.root()), tree.node(ROOT).max_lead_run);
@@ -139,7 +139,7 @@ mod tests {
         let path = tmp("alpha");
         write_tree(&tree, &path).unwrap();
         let other = Arc::new(CatStore::from_symbols(vec![vec![0, 1]], 5));
-        assert!(DiskTree::open(&path, other, 8, 64).is_err());
+        assert!(DiskTree::open(&path, other, 8).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -152,7 +152,7 @@ mod tests {
         let tree = build_full(cat.clone());
         let path = tmp("trav");
         write_tree(&tree, &path).unwrap();
-        let disk = DiskTree::open(&path, cat, 8, 64).unwrap();
+        let disk = DiskTree::open(&path, cat, 8).unwrap();
         // Same multiset of suffixes below the root.
         let mut mem_suffixes = Vec::new();
         tree.for_each_suffix_below(ROOT, &mut |s, p, r| mem_suffixes.push((s, p, r)));

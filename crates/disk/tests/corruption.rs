@@ -7,7 +7,9 @@ use std::sync::Arc;
 use warptree_core::categorize::{Alphabet, CatStore};
 use warptree_core::search::IndexBackend;
 use warptree_core::sequence::SequenceStore;
-use warptree_disk::{load_corpus, save_corpus, write_tree, DiskError, DiskTree};
+use warptree_disk::{
+    load_corpus, save_corpus, write_tree, DiskError, DiskTree, TreeReadAbort, PAGE_SIZE,
+};
 use warptree_suffix::build_full;
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -54,7 +56,7 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
 
-        let outcome = DiskTree::open(&path, cat, 8, 16)
+        let outcome = DiskTree::open(&path, cat, 8)
             .and_then(|t| try_traverse(&t));
         prop_assert!(
             outcome.is_err(),
@@ -71,7 +73,7 @@ proptest! {
         let bytes = std::fs::read(&path).unwrap();
         let keep = bytes.len() * keep_fraction as usize / 100;
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        let outcome = DiskTree::open(&path, cat, 8, 16)
+        let outcome = DiskTree::open(&path, cat, 8)
             .and_then(|t| try_traverse(&t));
         prop_assert!(outcome.is_err(), "truncation to {keep} undetected");
         std::fs::remove_file(&path).unwrap();
@@ -82,9 +84,54 @@ proptest! {
 #[test]
 fn pristine_file_traverses() {
     let (path, cat) = build_file("pristine");
-    let tree = DiskTree::open(&path, cat, 8, 16).unwrap();
+    let tree = DiskTree::open(&path, cat, 8).unwrap();
     let suffixes = try_traverse(&tree).unwrap();
     assert_eq!(suffixes, tree.suffix_count());
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A page that rots after open is met mid-traversal by the in-place
+/// record reads: the traversal aborts with [`TreeReadAbort`] and the
+/// tree records `CorruptionDetected` naming its file and that page.
+#[test]
+fn corrupt_page_met_by_traversal_is_typed() {
+    let cat = Arc::new(CatStore::from_symbols(
+        (0..40)
+            .map(|i| (0..60).map(|j| ((i * 7 + j * j * 3) % 6) as u32).collect())
+            .collect(),
+        6,
+    ));
+    let path = tmp("traverse");
+    write_tree(&build_full(cat.clone()), &path).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let pages = (pristine.len() / PAGE_SIZE) as u64;
+    assert!(pages >= 4, "tree too small to corrupt mid-file");
+    let segment = path.file_name().unwrap().to_string_lossy().into_owned();
+    // Page 0 holds the header (checked at open); every later page is
+    // first touched by the traversal.
+    for page in [1, pages / 2, pages - 1] {
+        let tree = DiskTree::open(&path, cat.clone(), 2).unwrap();
+        let mut bytes = pristine.clone();
+        bytes[page as usize * PAGE_SIZE + 100] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut n = 0u64;
+            tree.for_each_suffix_below(tree.root(), &mut |_, _, _| n += 1);
+            n
+        }));
+        let payload = walk.expect_err("traversal over a corrupt page must abort");
+        assert!(payload.is::<TreeReadAbort>(), "abort payload");
+        match tree.take_read_error() {
+            Some(DiskError::CorruptionDetected {
+                segment: s,
+                page: p,
+            }) => {
+                assert_eq!((s.as_str(), p), (segment.as_str(), page));
+            }
+            other => panic!("expected CorruptionDetected for page {page}, got {other:?}"),
+        }
+        std::fs::write(&path, &pristine).unwrap();
+    }
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -101,7 +101,7 @@ fn assert_recovers_to_one_of(dir: &Path, expected: &[&SequenceStore], context: &
     let verify =
         verify_dir_with(&RealVfs, dir).unwrap_or_else(|e| panic!("{context}: verify errored: {e}"));
     assert!(verify.is_ok(), "{context}: verify failed:\n{verify}");
-    let tree = DiskTree::open(&resolved.index_path, cat, 32, 256)
+    let tree = DiskTree::open(&resolved.index_path, cat, 32)
         .unwrap_or_else(|e| panic!("{context}: tree unreadable after recovery: {e}"));
     for q in [vec![5.0, 5.0], vec![3.0], vec![9.0, 5.0]] {
         let params = SearchParams::with_epsilon(1.0);

@@ -1,16 +1,35 @@
 //! Model-based property tests for the storage layer: the paged file
 //! against a plain byte vector, the LRU cache against a naive reference,
-//! and concurrent disk-tree queries.
+//! the slicing-by-8 CRC against a bytewise reference, and concurrent
+//! disk-tree queries.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use warptree_core::search::{run_query, QueryRequest, SearchParams, IndexBackend};
 use warptree_core::sequence::SequenceStore;
+use warptree_disk::crc::crc32;
 use warptree_disk::lru::LruCache;
 use warptree_disk::{write_tree, DiskTree, PagedReader, PagedWriter};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("warptree-propstore-{}-{tag}", std::process::id()))
+}
+
+/// The textbook bit-at-a-time CRC-32 (IEEE, reflected `0xEDB88320`):
+/// the reference the table-driven [`crc32`] must reproduce.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c ^ 0xFFFF_FFFF
 }
 
 proptest! {
@@ -47,6 +66,20 @@ proptest! {
             prop_assert_eq!(&buf[..], &model[start..start + rlen]);
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Slicing-by-8 equals the bytewise reference on every length
+    /// (including the 0–7 byte tails) and every start alignment.
+    #[test]
+    fn crc32_equals_bytewise_reference(
+        data in prop::collection::vec(any::<u8>(), 0..9000),
+        start in 0usize..16,
+        len in 0usize..9000,
+    ) {
+        let start = start.min(data.len());
+        let end = start + len.min(data.len() - start);
+        let slice = &data[start..end];
+        prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
     }
 
     /// Patches applied at finish time overwrite exactly the model range.
@@ -140,7 +173,7 @@ fn concurrent_disk_queries_agree() {
     let path = tmp("conc");
     write_tree(&tree, &path).unwrap();
     // Tiny caches to force heavy concurrent pool churn.
-    let disk = DiskTree::open(&path, cat, 2, 4).unwrap();
+    let disk = DiskTree::open(&path, cat, 2).unwrap();
     assert!(disk.suffix_count() > 0);
 
     let queries: Vec<Vec<f64>> = (0..8)

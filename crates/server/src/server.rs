@@ -73,8 +73,6 @@ pub struct ServerConfig {
     pub max_query_len: usize,
     /// Page-cache size for newly opened snapshots.
     pub cache_pages: usize,
-    /// Node-cache size for newly opened snapshots.
-    pub cache_nodes: usize,
     /// Maximum concurrent connections (the server is
     /// thread-per-connection, so this bounds connection threads).
     /// Connections beyond the cap receive a typed `overloaded` error
@@ -133,7 +131,6 @@ impl Default for ServerConfig {
             reload_interval: Duration::from_millis(200),
             max_query_len: 4096,
             cache_pages: 256,
-            cache_nodes: 4096,
             max_conns: 256,
             enable_debug_ops: false,
             max_parallelism: 1,
@@ -297,7 +294,6 @@ struct IngestState {
     cell: Arc<SnapshotCell>,
     registry: MetricsRegistry,
     cache_pages: usize,
-    cache_nodes: usize,
     /// Background jobs (compaction, scrub) report into the same ring
     /// as slow requests, so `slowlog` shows *everything* that ate time.
     slowlog: Arc<SlowLog>,
@@ -312,7 +308,6 @@ impl IngestState {
             self.vfs.as_ref(),
             &self.dir,
             self.cache_pages,
-            self.cache_nodes,
         )?);
         instrument_snapshot(&snap, &self.registry);
         self.cell.swap(snap.clone());
@@ -538,9 +533,8 @@ impl Server {
         config: ServerConfig,
         registry: MetricsRegistry,
     ) -> io::Result<ServerHandle> {
-        let snapshot =
-            open_dir_snapshot_with(vfs.as_ref(), dir, config.cache_pages, config.cache_nodes)
-                .map_err(|e| io::Error::other(format!("open index dir: {e}")))?;
+        let snapshot = open_dir_snapshot_with(vfs.as_ref(), dir, config.cache_pages)
+            .map_err(|e| io::Error::other(format!("open index dir: {e}")))?;
         instrument_snapshot(&snapshot, &registry);
         let cell = Arc::new(SnapshotCell::new(Arc::new(snapshot)));
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -552,7 +546,6 @@ impl Server {
             cell: cell.clone(),
             registry: registry.clone(),
             cache_pages: config.cache_pages,
-            cache_nodes: config.cache_nodes,
             slowlog: slowlog.clone(),
         });
         let ctx = Arc::new(Ctx {
@@ -587,7 +580,6 @@ impl Server {
             registry.clone(),
             config.reload_interval,
             config.cache_pages,
-            config.cache_nodes,
         );
 
         let compactor = if config.compact_threshold > 0 {
@@ -1546,7 +1538,7 @@ mod tests {
             dir,
         )
         .unwrap();
-        let snap = open_dir_snapshot_with(real_vfs().as_ref(), dir, 16, 64).unwrap();
+        let snap = open_dir_snapshot_with(real_vfs().as_ref(), dir, 16).unwrap();
         let registry = MetricsRegistry::new();
         let cell = Arc::new(SnapshotCell::new(Arc::new(snap)));
         let slowlog = Arc::new(SlowLog::new(&ServerConfig::default(), registry.clone()));
@@ -1557,7 +1549,6 @@ mod tests {
             cell: cell.clone(),
             registry: registry.clone(),
             cache_pages: 16,
-            cache_nodes: 64,
             slowlog: slowlog.clone(),
         });
         let job = JobCtx {

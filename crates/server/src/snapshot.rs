@@ -91,12 +91,11 @@ struct WatcherCtx {
     cell: Arc<SnapshotCell>,
     registry: MetricsRegistry,
     cache_pages: usize,
-    cache_nodes: usize,
 }
 
 impl ReloadWatcher {
-    /// Spawns the watcher thread, polling every `interval`. The cache
-    /// sizes are used for newly opened generations.
+    /// Spawns the watcher thread, polling every `interval`. The page
+    /// cache size is used for newly opened generations.
     pub fn spawn(
         vfs: Arc<dyn Vfs>,
         dir: PathBuf,
@@ -104,7 +103,6 @@ impl ReloadWatcher {
         registry: MetricsRegistry,
         interval: Duration,
         cache_pages: usize,
-        cache_nodes: usize,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let ctx = WatcherCtx {
@@ -113,7 +111,6 @@ impl ReloadWatcher {
             cell,
             registry,
             cache_pages,
-            cache_nodes,
         };
         ctx.registry
             .set_gauge("server.generation", ctx.cell.generation() as f64);
@@ -179,7 +176,7 @@ fn poll_once(ctx: &WatcherCtx) {
     if committed == serving {
         return;
     }
-    match open_dir_snapshot_with(ctx.vfs.as_ref(), &ctx.dir, ctx.cache_pages, ctx.cache_nodes) {
+    match open_dir_snapshot_with(ctx.vfs.as_ref(), &ctx.dir, ctx.cache_pages) {
         Ok(next) => {
             let next_gen = next.generation;
             instrument_snapshot(&next, &ctx.registry);
@@ -233,11 +230,11 @@ mod tests {
     fn swap_pins_old_generation_for_inflight_users() {
         let dir = tmpdir("pin");
         build(&dir, vec![vec![1.0, 2.0, 3.0]]);
-        let snap1 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4, 16).unwrap());
+        let snap1 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4).unwrap());
         let cell = SnapshotCell::new(snap1);
         let pinned = cell.get(); // an in-flight request
         build(&dir, vec![vec![9.0, 8.0]]);
-        let snap2 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4, 16).unwrap());
+        let snap2 = Arc::new(open_dir_snapshot_with(real_vfs().as_ref(), &dir, 4).unwrap());
         let prev = cell.swap(snap2);
         assert_eq!(prev.generation, 1);
         assert_eq!(cell.generation(), 2);
@@ -260,7 +257,7 @@ mod tests {
         build(&dir, vec![vec![1.0, 2.0, 3.0]]);
         let vfs = real_vfs();
         let cell = Arc::new(SnapshotCell::new(Arc::new(
-            open_dir_snapshot_with(vfs.as_ref(), &dir, 4, 16).unwrap(),
+            open_dir_snapshot_with(vfs.as_ref(), &dir, 4).unwrap(),
         )));
         let reg = MetricsRegistry::new();
         let watcher = ReloadWatcher::spawn(
@@ -270,7 +267,6 @@ mod tests {
             reg.clone(),
             Duration::from_millis(5),
             4,
-            16,
         );
         build(&dir, vec![vec![4.0, 5.0], vec![6.0]]);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Query phase (a fresh process would start here) ----------------
     let (store, alphabet, cat) = load_corpus(&corpus_path)?;
     // 64 pages of buffer pool ≈ 512 KiB of memory for the tree.
-    let tree = DiskTree::open(&index_path, cat, 64, 1024)?;
+    let tree = DiskTree::open(&index_path, cat, 64)?;
     println!(
         "reopened: {} stored suffixes, sparse = {}",
         warptree::core::search::IndexBackend::suffix_count(&tree),

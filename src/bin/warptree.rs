@@ -574,9 +574,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             }
             None => None,
         };
-        let io = tree.io_stats();
-        let node_cache = tree.node_cache_stats();
-        Some((structure, io, node_cache))
+        Some((structure, tree.io_stats()))
     } else {
         None
     };
@@ -603,21 +601,18 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         };
         let (structure_json, cache_json) = match &deep {
             None => ("null".into(), "null".into()),
-            Some((structure, io, (nh, nm))) => (
+            Some((structure, io)) => (
                 structure
                     .as_ref()
                     .map_or("null".to_string(), |s| s.to_json()),
                 format!(
                     concat!(
                         "{{\"pages_read\":{},\"page_cache_hits\":{},",
-                        "\"page_hit_rate\":{},\"node_cache_hits\":{},",
-                        "\"node_cache_misses\":{}}}"
+                        "\"page_hit_rate\":{}}}"
                     ),
                     io.pages_read,
                     io.cache_hits,
                     num(io.hit_rate()),
-                    nh,
-                    nm,
                 ),
             ),
         };
@@ -715,7 +710,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     } else {
         println!("manifest:         none (legacy generation-0 directory)");
     }
-    if let Some((structure, io, (nh, nm))) = &deep {
+    if let Some((structure, io)) = &deep {
         match structure {
             Some(structure) => {
                 println!("structure:");
@@ -732,7 +727,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
             io.cache_hits,
             100.0 * io.hit_rate()
         );
-        println!("  node cache:     {nh} hits / {nm} misses");
     }
     Ok(())
 }
@@ -985,7 +979,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.reload_interval = std::time::Duration::from_millis(o.parse_num("reload-ms", 200u64)?);
     config.max_query_len = o.parse_num("max-query-len", config.max_query_len)?;
     config.cache_pages = o.parse_num("cache-pages", config.cache_pages)?;
-    config.cache_nodes = config.cache_pages * 8;
     config.max_conns = o.parse_num("max-conns", config.max_conns)?;
     config.max_parallelism = o.parse_num("threads", config.max_parallelism)?;
     config.compact_threshold = o.parse_num("compact-threshold", config.compact_threshold)?;

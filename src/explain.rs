@@ -7,7 +7,7 @@
 //! each lower bound admitted (`D_tw-lb` for stored suffixes, `D_tw-lb2`
 //! for the non-stored ones of a sparse tree), how many survived exact
 //! post-processing, and — for disk-resident indexes — what the query
-//! cost in page and node-cache traffic.
+//! cost in buffer-pool traffic.
 
 use warptree_core::error::CoreError;
 use warptree_core::search::{AnswerSet, QueryRequest, SearchMetrics, SearchParams, SearchStats};
@@ -23,12 +23,9 @@ use crate::{DiskIndexDir, Index};
 pub struct ExplainIo {
     /// Pages fetched from the file (page-cache misses).
     pub pages_read: u64,
-    /// Page requests served from the buffer pool.
+    /// Page requests served from the buffer pool (every node record a
+    /// tree traversal reads is one).
     pub page_cache_hits: u64,
-    /// Decoded-node cache hits.
-    pub node_cache_hits: u64,
-    /// Decoded-node cache misses (records decoded from pages).
-    pub node_cache_misses: u64,
 }
 
 impl ExplainIo {
@@ -117,8 +114,6 @@ impl ExplainReport {
         let io = ExplainIo {
             pages_read: io1.pages_read - io0.pages_read,
             page_cache_hits: io1.page_cache_hits - io0.page_cache_hits,
-            node_cache_hits: io1.node_cache_hits - io0.node_cache_hits,
-            node_cache_misses: io1.node_cache_misses - io0.node_cache_misses,
         };
         use warptree_core::search::IndexBackend;
         let suffixes = IndexBackend::suffix_count(&dir.tree)
@@ -144,11 +139,8 @@ impl ExplainReport {
         let mut total = ExplainIo::default();
         for tree in std::iter::once(&dir.tree).chain(dir.segments.iter()) {
             let io = tree.io_stats();
-            let nc = tree.node_cache_stats();
             total.pages_read += io.pages_read;
             total.page_cache_hits += io.cache_hits;
-            total.node_cache_hits += nc.0;
-            total.node_cache_misses += nc.1;
         }
         total
     }
@@ -224,14 +216,11 @@ impl ExplainReport {
             Some(io) => format!(
                 concat!(
                     "{{\"pages_read\":{},\"page_cache_hits\":{},",
-                    "\"page_hit_rate\":{},\"node_cache_hits\":{},",
-                    "\"node_cache_misses\":{}}}"
+                    "\"page_hit_rate\":{}}}"
                 ),
                 io.pages_read,
                 io.page_cache_hits,
                 num(io.page_hit_rate()),
-                io.node_cache_hits,
-                io.node_cache_misses,
             ),
         };
         format!(
@@ -365,17 +354,12 @@ impl std::fmt::Display for ExplainReport {
         if let Some(io) = &self.io {
             writeln!(f)?;
             writeln!(f, "io:")?;
-            writeln!(
+            write!(
                 f,
                 "  pages read {}, page-cache hits {} ({:.1}% hit rate)",
                 io.pages_read,
                 io.page_cache_hits,
                 100.0 * io.page_hit_rate()
-            )?;
-            write!(
-                f,
-                "  node-cache hits {}, misses {}",
-                io.node_cache_hits, io.node_cache_misses
             )?;
         }
         Ok(())

@@ -587,7 +587,6 @@ pub fn open_index_dir(
         cat.clone(),
         backend,
         cache_pages,
-        cache_pages * 8,
     )?;
     let mut segments = Vec::with_capacity(resolved.segment_paths.len());
     for (i, path) in resolved.segment_paths.iter().enumerate() {
@@ -606,7 +605,6 @@ pub fn open_index_dir(
             cat.clone(),
             backend,
             cache_pages,
-            cache_pages * 8,
         )?);
     }
     Ok(DiskIndexDir {
@@ -621,10 +619,9 @@ pub fn open_index_dir(
 }
 
 /// [`open_index_dir`] with I/O tracing: every filesystem operation is
-/// metered as `disk.vfs.*` counters, and the tree's page and node
-/// caches report as `disk.page_cache.*` / `disk.node_cache.*` — all
-/// on `reg`, which outlives the returned index and can be snapshot at
-/// any point.
+/// metered as `disk.vfs.*` counters, and each index file's buffer pool
+/// reports as `disk.page_cache.*` — all on `reg`, which outlives the
+/// returned index and can be snapshot at any point.
 pub fn open_index_dir_metered(
     dir: &std::path::Path,
     cache_pages: usize,
@@ -641,7 +638,6 @@ pub fn open_index_dir_metered(
         cat.clone(),
         backend,
         cache_pages,
-        cache_pages * 8,
     )?;
     tree.instrument(reg);
     let mut segments = Vec::with_capacity(resolved.segment_paths.len());
@@ -659,7 +655,6 @@ pub fn open_index_dir_metered(
             cat.clone(),
             backend,
             cache_pages,
-            cache_pages * 8,
         )?);
     }
     Ok(DiskIndexDir {

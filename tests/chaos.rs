@@ -156,7 +156,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
 
     // Clean baseline.
     let clean: Vec<_> = {
-        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+        let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
         chaos_queries()
             .iter()
             .map(|q| {
@@ -177,7 +177,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
 
     // Corrupt segment 1 on disk, then reopen (a fresh process's view).
     corrupt_pages_after_first(&dir.join(&seg1));
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
     let dq = snap.run_query_degraded(&req(&chaos_queries()[0])).unwrap();
     assert_eq!(
         dq.detected,
@@ -216,7 +216,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
 
     // "Restart": a fresh open must skip the quarantined segment up
     // front (no per-query re-detection) and still label answers.
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
     assert_eq!(snap.quarantined.len(), 1);
     assert_eq!(snap.segments.len(), 1, "quarantined segment not opened");
     let dq = snap.run_query_degraded(&req(&chaos_queries()[1])).unwrap();
@@ -231,7 +231,7 @@ fn quarantine_persists_across_reopen_and_heals_by_scrub() {
     assert!(report.unrecoverable.is_none());
 
     // Full coverage resumes, byte-identical to the clean baseline.
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
     assert!(snap.quarantined.is_empty());
     for (q, want) in chaos_queries().iter().zip(&clean) {
         let dq = snap.run_query_degraded(&req(q)).unwrap();
@@ -254,7 +254,7 @@ fn base_tree_corruption_is_a_typed_hard_error() {
     build_chaos_dir(&dir);
     let resolved = resolve_dir_with(&RealVfs, &dir).unwrap();
     corrupt_pages_after_first(&resolved.index_path);
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
     let req =
         QueryRequest::threshold_params(&chaos_queries()[0], SearchParams::with_epsilon(EPSILON));
     match snap.run_query_degraded(&req) {
@@ -597,7 +597,6 @@ fn full_chaos_matrix_with_concurrent_ingest() {
         compact_threshold: 3,
         compact_interval: Duration::from_millis(50),
         cache_pages: 4,
-        cache_nodes: 4,
         ..server_config()
     };
     let handle = Server::start(&dir, config).unwrap();
@@ -709,7 +708,7 @@ fn full_chaos_matrix_with_concurrent_ingest() {
     // answers exactly like a clean snapshot of the same (final) corpus.
     let report = scrub_dir_with(&RealVfs, &dir, true, &MetricsRegistry::new()).unwrap();
     assert!(report.unrecoverable.is_none(), "{report}");
-    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8, 64).unwrap();
+    let snap = open_dir_snapshot_with(&RealVfs, &dir, 8).unwrap();
     assert!(snap.quarantined.is_empty());
     for q in &queries {
         let req = QueryRequest::threshold_params(q, SearchParams::with_epsilon(EPSILON));

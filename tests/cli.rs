@@ -200,12 +200,22 @@ fn esa_backend_cli_pipeline() {
         .take(5)
         .collect::<Vec<_>>()
         .join(",");
-    // Outputs match up to the wall-clock "in N.NNms" fragment.
-    let mask_ms = |s: String| -> String {
-        match (s.find(" in "), s.find("ms (")) {
-            (Some(a), Some(b)) if a < b => format!("{} in Xms ({}", &s[..a], &s[b + 4..]),
-            _ => s,
-        }
+    // Outputs match up to the wall-clock "in <duration> (" fragment of
+    // the summary line. `Duration`'s `{:.2?}` picks the unit by
+    // magnitude (ns, µs, ms or s), so every unit is masked.
+    let mask_duration = |s: String| -> String {
+        let Some(a) = s.find(" in ") else { return s };
+        let Some(len) = s[a + 4..].find(" (") else {
+            return s;
+        };
+        let token = &s[a + 4..a + 4 + len];
+        let number = token.trim_end_matches(|c: char| c.is_alphabetic());
+        let unit = &token[number.len()..];
+        assert!(
+            number.parse::<f64>().is_ok() && ["ns", "µs", "ms", "s"].contains(&unit),
+            "unexpected duration {token:?} in {s:?}"
+        );
+        format!("{} in X ({}", &s[..a], &s[a + 4 + len + 2..])
     };
     for cmd in [
         vec!["search", "--query", query.as_str(), "--epsilon", "2", "--limit", "5"],
@@ -216,8 +226,8 @@ fn esa_backend_cli_pipeline() {
         let mut e = cmd.clone();
         e.extend(["--index-dir", esa_idx.to_str().unwrap()]);
         assert_eq!(
-            mask_ms(run_ok(&t)),
-            mask_ms(run_ok(&e)),
+            mask_duration(run_ok(&t)),
+            mask_duration(run_ok(&e)),
             "backends disagree on {:?}",
             cmd[0]
         );

@@ -45,7 +45,7 @@ proptest! {
             };
             let path = dir.join(format!("{tag}.wt"));
             write_tree(&mem, &path).unwrap();
-            let disk = DiskTree::open(&path, cat, 8, 32).unwrap();
+            let disk = DiskTree::open(&path, cat, 8).unwrap();
             let req = QueryRequest::threshold_params(&q, params.clone());
             let mem_ans = run_query(&mem, &alphabet, &store, &req)
                 .unwrap()
@@ -84,7 +84,7 @@ proptest! {
             IncrementalBuilder::new(cat.clone(), kind, batch, dir.clone())
                 .build(&out)
                 .unwrap();
-            let disk = DiskTree::open(&out, cat.clone(), 8, 32).unwrap();
+            let disk = DiskTree::open(&out, cat.clone(), 8).unwrap();
             let direct = if sparse {
                 build_sparse(cat.clone())
             } else {
@@ -125,10 +125,10 @@ fn full_disk_pipeline() {
     let (p1, p2, pm) = (dir.join("h1.wt"), dir.join("h2.wt"), dir.join("merged.wt"));
     write_tree(&t1, &p1).unwrap();
     write_tree(&t2, &p2).unwrap();
-    let d1 = DiskTree::open(&p1, cat.clone(), 16, 64).unwrap();
-    let d2 = DiskTree::open(&p2, cat.clone(), 16, 64).unwrap();
+    let d1 = DiskTree::open(&p1, cat.clone(), 16).unwrap();
+    let d2 = DiskTree::open(&p2, cat.clone(), 16).unwrap();
     merge_trees(&d1, &d2, &cat, &pm).unwrap();
-    let merged = DiskTree::open(&pm, cat2.clone(), 32, 256).unwrap();
+    let merged = DiskTree::open(&pm, cat2.clone(), 32).unwrap();
 
     // Search through the merged on-disk index using the reloaded corpus.
     let queries = QueryWorkload::draw(

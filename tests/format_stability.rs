@@ -83,7 +83,7 @@ fn golden_fixtures_remain_readable_and_searchable() {
     assert_eq!(store.name(SeqId(0)), Some("ALPHA"));
     assert_eq!(store.name(SeqId(1)), None);
     for name in ["golden-full.wt", "golden-sparse.wt"] {
-        let tree = DiskTree::open(&fixtures.join(name), cat.clone(), 8, 32).unwrap();
+        let tree = DiskTree::open(&fixtures.join(name), cat.clone(), 8).unwrap();
         let params = SearchParams::with_epsilon(0.5);
         let q = [2.0, 3.5];
         let (out, _) = run_query(

@@ -145,7 +145,7 @@ fn registry_snapshot_has_search_and_io_names() {
         "disk.vfs.reads",
         "disk.vfs.read_bytes",
         "disk.page_cache.hits",
-        "disk.node_cache.misses",
+        "disk.page_cache.misses",
     ] {
         assert!(
             snap.counters.contains_key(name),

@@ -244,7 +244,7 @@ fn disk_tree_search_identical_across_thread_counts() {
     let dir = tmpdir("disk");
     let path = dir.join("t.wt");
     write_tree(&mem, &path).unwrap();
-    let disk = DiskTree::open(&path, cat, 16, 64).unwrap();
+    let disk = DiskTree::open(&path, cat, 16).unwrap();
     for p in [
         SearchParams::with_epsilon(0.8),
         SearchParams::with_epsilon(5.0),
@@ -324,7 +324,7 @@ fn torn_commit_reopen_preserves_parallel_equivalence() {
     // Reopen with a healthy filesystem: recovery lands on the complete
     // old or complete new generation; either way the parallel contract
     // must hold on what it serves.
-    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 16, 64).unwrap();
+    let snap = open_dir_snapshot_with(real_vfs().as_ref(), &dir, 16).unwrap();
     for p in [
         SearchParams::with_epsilon(0.8),
         SearchParams::with_epsilon(5.0),

@@ -245,7 +245,7 @@ fn truncated_tree_roundtrips_through_disk() {
     let tree = build_sparse_truncated(cat.clone(), spec);
     let path = std::env::temp_dir().join(format!("warptree-trunc-{}.wt", std::process::id()));
     warptree_disk::write_tree(&tree, &path).unwrap();
-    let disk = DiskTree::open(&path, cat, 8, 32).unwrap();
+    let disk = DiskTree::open(&path, cat, 8).unwrap();
     assert_eq!(disk.header().depth_limit, Some(3));
     let params = SearchParams::with_epsilon(1.0).length_range(1, 3);
     let q = [2.0, 3.0];
