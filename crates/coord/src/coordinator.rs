@@ -4,12 +4,13 @@
 //!
 //! ## Threading model
 //!
-//! One non-blocking accept loop; one thread per client connection.
+//! The server crate's [`frontend`] runs the accept loop and one thread
+//! per client connection; this module is its scatter [`Executor`].
 //! There is no worker pool at this layer — the shards do the query
 //! work, the coordinator's per-request cost is parsing and merging —
 //! so each connection thread scatters directly over its own private
 //! [`ShardConn`] set (sockets are never shared across requests on
-//! different connections). The fan-out itself runs on up to
+//! different connections). The fan-out runs on up to
 //! [`CoordConfig::workers`] scoped threads ("lanes"); with one lane
 //! the scatter is a plain sequential loop, and the merged answer is
 //! byte-identical at every lane count.
@@ -28,28 +29,24 @@
 //! monolithic server would have failed the same way.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use warptree_core::search::{Match, SearchStats};
 use warptree_disk::{read_shard_manifest, ShardManifest};
 use warptree_obs::{json as obs_json, MetricsRegistry, Trace};
 use warptree_server::client::{encode_query, ingest_request, ClientError, RetryPolicy, ShardConn};
+use warptree_server::frontend::{self, Executor, Frontend, Handle, Names, Ran, SlowLog};
 use warptree_server::json::Json;
-use warptree_server::proto::{
-    self, error_response, ok_response, prepare_accepted, read_frame_idle_aware, reject_connection,
-    ErrorCode, FrameEvent, Request, PROTO_VERSION,
-};
+use warptree_server::proto::{self, error_frame, error_response, ok_response, ErrorCode, Request};
+use warptree_server::worker::Worker;
 
 use crate::merge::{
-    aggregate_coverage, encode_stats, merge_ranked, merge_threshold, parse_coverage, parse_matches,
-    parse_stats, sum_stats, ShardCoverage,
+    aggregate_coverage, merge_ranked, merge_threshold, parse_coverage, parse_matches, parse_stats,
+    sum_stats, ShardCoverage,
 };
-use crate::slowlog::CoordSlowLog;
 
 /// Configuration of a [`Coordinator`].
 #[derive(Debug, Clone)]
@@ -142,30 +139,13 @@ impl ShardState {
     }
 }
 
-/// Shared coordinator state.
+/// Shared coordinator state, and the coordinator's [`Executor`].
 struct CoordState {
     shards: Vec<ShardState>,
     workers: usize,
     shard_timeout: Duration,
     policy: RetryPolicy,
-    max_conns: usize,
     registry: MetricsRegistry,
-    slowlog: Arc<CoordSlowLog>,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl CoordState {
-    fn max_generation(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.snapshot().generation)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn shards_up(&self) -> usize {
-        self.shards.iter().filter(|s| s.snapshot().up).count()
-    }
 }
 
 /// The coordinator factory. [`Coordinator::start`] reads the `SHARDS`
@@ -203,12 +183,6 @@ impl Coordinator {
             )));
         }
         let registry = MetricsRegistry::new();
-        let slowlog = Arc::new(CoordSlowLog::new(
-            config.slowlog_capacity,
-            config.slow_ms,
-            config.trace_sample,
-            registry.clone(),
-        ));
         let mut policy = config.retry.clone();
         if policy.deadline.is_none() {
             policy.deadline = Some(config.deadline);
@@ -234,119 +208,56 @@ impl Coordinator {
                 }),
             })
             .collect();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let state = Arc::new(CoordState {
             shards,
             workers: config.workers.max(1),
             shard_timeout: config.shard_timeout,
             policy,
-            max_conns: config.max_conns,
             registry: registry.clone(),
-            slowlog,
-            shutdown: shutdown.clone(),
         });
 
         // One synchronous poll round so `health` is meaningful the
         // moment `start` returns (a down shard shows down, not
-        // unknown).
-        {
-            let mut conns = monitor_conns(&state);
-            poll_round(&state, &mut conns);
-        }
+        // unknown); the monitor keeps polling on the same sockets.
+        let mut conns = monitor_conns(&state);
+        poll_round(&state, &mut conns);
 
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let monitor_stop = Arc::new(AtomicBool::new(false));
         let monitor = {
             let state = state.clone();
-            let stop = monitor_stop.clone();
-            let interval = config.health_interval;
-            std::thread::Builder::new()
-                .name("warptree-coord-health".to_string())
-                .spawn(move || monitor_loop(&state, interval, &stop))?
+            Worker::every(
+                "warptree-coord-health",
+                config.health_interval,
+                false,
+                move |_| poll_round(&state, &mut conns),
+            )?
         };
 
-        let accept = {
-            let state = state.clone();
-            std::thread::Builder::new()
-                .name("warptree-coord-accept".to_string())
-                .spawn(move || accept_loop(listener, &state))?
-        };
-
-        Ok(CoordHandle {
-            addr,
-            registry,
-            shutdown,
-            accept: Some(accept),
-            monitor_stop,
-            monitor: Some(monitor),
-        })
+        frontend::spawn(
+            listener,
+            Frontend {
+                exec: state,
+                registry: registry.clone(),
+                slowlog: Arc::new(SlowLog::new(
+                    config.slowlog_capacity,
+                    config.slow_ms,
+                    config.trace_sample,
+                    registry,
+                    &CoordState::NAMES,
+                )),
+                max_conns: config.max_conns,
+                allow_debug: false,
+            },
+            monitor,
+        )
     }
 }
 
-/// A handle to a running coordinator.
-pub struct CoordHandle {
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    monitor_stop: Arc<AtomicBool>,
-    monitor: Option<JoinHandle<()>>,
-}
-
-impl CoordHandle {
-    /// The actual bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The coordinator's metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Asks the coordinator to drain and stop. Non-blocking; follow
-    /// with [`CoordHandle::join`].
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// `true` once shutdown has been requested (locally or via the
-    /// protocol `shutdown` op).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Waits for the drain to complete (implies a shutdown trigger).
-    pub fn join(mut self) {
-        self.join_inner();
-    }
-
-    /// [`CoordHandle::request_shutdown`] + [`CoordHandle::join`].
-    pub fn stop(self) {
-        self.request_shutdown();
-        self.join();
-    }
-
-    fn join_inner(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        self.monitor_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.monitor.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CoordHandle {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.join_inner();
-    }
-}
+/// A handle to a running coordinator; its background job is the shard
+/// health monitor.
+pub type CoordHandle = Handle<Worker>;
 
 /// Fresh monitor-side connections, one per shard, with the poll
 /// timeout applied.
@@ -377,312 +288,126 @@ fn poll_round(state: &CoordState, conns: &mut [ShardConn]) {
             Err(_) => shard.update(|info| info.up = false),
         }
     }
-    state
-        .registry
-        .gauge("coord.shards_up")
-        .set(state.shards_up() as f64);
+    state.refresh_gauges();
 }
 
-fn monitor_loop(state: &CoordState, interval: Duration, stop: &AtomicBool) {
-    let mut conns = monitor_conns(state);
-    // Sleep in small slices so stop() returns promptly.
-    let slice = interval
-        .min(Duration::from_millis(50))
-        .max(Duration::from_millis(1));
-    let mut elapsed = Duration::ZERO;
-    while !stop.load(Ordering::SeqCst) {
-        if elapsed < interval {
-            std::thread::sleep(slice);
-            elapsed += slice;
-            continue;
-        }
-        elapsed = Duration::ZERO;
-        poll_round(state, &mut conns);
-    }
-}
-
-fn accept_loop(listener: TcpListener, state: &Arc<CoordState>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !state.shutdown.load(Ordering::SeqCst) {
-        conns.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if conns.len() >= state.max_conns {
-                    state.registry.counter("coord.rejected_conn_limit").incr();
-                    reject_connection(stream);
-                    continue;
-                }
-                state.registry.counter("coord.connections").incr();
-                let conn_state = state.clone();
-                match std::thread::Builder::new()
-                    .name("warptree-coord-conn".to_string())
-                    .spawn(move || handle_conn(stream, &conn_state))
-                {
-                    Ok(h) => conns.push(h),
-                    Err(_) => state.registry.counter("coord.errors").incr(),
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                state.registry.counter("coord.errors").incr();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-/// Same mid-frame stall bound as the shard server (~30 s of 100 ms
-/// read timeouts).
-const FRAME_STALL_LIMIT: u32 = 300;
-
-fn handle_conn(mut stream: TcpStream, state: &Arc<CoordState>) {
-    if prepare_accepted(&stream).is_err() {
-        return;
-    }
-    // This connection's private shard sockets, dialed lazily and
-    // re-dialed by the retry policy after transport failures.
-    let mut shards: Vec<ShardConn> = state
-        .shards
-        .iter()
-        .map(|s| ShardConn::with_timeout(s.addr.clone(), Some(state.shard_timeout)))
-        .collect();
-    loop {
-        match read_frame_idle_aware(&mut stream, FRAME_STALL_LIMIT) {
-            Ok(FrameEvent::Frame(payload)) => {
-                if !serve_one(&payload, &mut stream, state, &mut shards) {
-                    return;
-                }
-                // Same drain rule as the shard server: once shutdown is
-                // requested, close after answering instead of waiting
-                // for an idle window a fast-polling client never opens.
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Ok(FrameEvent::Closed) => return,
-            Ok(FrameEvent::Idle) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Handles one request frame. Returns `false` when the connection
-/// should close.
-fn serve_one(
-    payload: &[u8],
-    stream: &mut TcpStream,
-    state: &Arc<CoordState>,
-    shards: &mut [ShardConn],
-) -> bool {
-    let started = Instant::now();
-    let (req, proto_version, trace_opts) = match Request::parse_full(payload, false) {
-        Ok(parsed) => parsed,
-        Err(pe) => {
-            state.registry.counter("coord.bad_requests").incr();
-            return respond(stream, state, &error_response(pe.code, &pe.message));
-        }
+impl Executor for CoordState {
+    /// This connection's private shard sockets, dialed lazily and
+    /// re-dialed by the retry policy after transport failures.
+    type Conn = Vec<ShardConn>;
+    const NAMES: Names = Names {
+        metrics: "coord",
+        threads: "warptree-coord",
+        traces: "coord",
+        role: "coordinator",
     };
 
-    if req.is_control() {
-        let resp = clamp_oversized(control_response(&req, state), &state.registry);
-        return respond(stream, state, &resp);
+    fn open_conn(&self) -> Vec<ShardConn> {
+        monitor_conns(self)
     }
 
-    if state.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            state,
-            &error_response(ErrorCode::ShuttingDown, "coordinator is draining"),
-        );
-    }
-
-    let trace_wanted = trace_opts.wanted;
-    let trace = if trace_wanted || state.slowlog.sample() {
-        Trace::active(
-            trace_opts
-                .trace_id
-                .unwrap_or_else(|| next_trace_id(req.op_label())),
+    fn health(&self) -> String {
+        let infos: Vec<ShardInfo> = self.shards.iter().map(|s| s.snapshot()).collect();
+        let up = infos.iter().filter(|i| i.up).count();
+        let quarantined: u64 = infos.iter().map(|i| i.quarantined).sum();
+        let generation = infos.iter().map(|i| i.generation).max().unwrap_or(0);
+        // Degraded when any shard is unreachable *or* any shard is
+        // itself degraded — either way answers are partial.
+        let status = if up == infos.len() && quarantined == 0 {
+            "serving"
+        } else {
+            "degraded"
+        };
+        let mut per = String::from("[");
+        for (i, (info, shard)) in infos.iter().zip(&self.shards).enumerate() {
+            if i > 0 {
+                per.push(',');
+            }
+            per.push_str(&format!(
+                "{{\"index\":{i},\"addr\":\"{}\",\"up\":{},\"generation\":{},\"quarantined_segments\":{}}}",
+                obs_json::escape(&shard.addr),
+                info.up,
+                info.generation,
+                info.quarantined,
+            ));
+        }
+        per.push(']');
+        format!(
+            "\"status\":\"{status}\",\"generation\":{generation},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"shards\":{per}",
+            infos.len()
         )
-    } else {
-        Trace::noop()
-    };
-
-    let op = req.op_label();
-    let span = trace.span("coord.service");
-    if span.is_active() {
-        span.attr_str("op", op);
-        span.attr_u64("shards", state.shards.len() as u64);
     }
-    let parent = span.span_id();
-    let mut resp = execute(state, shards, req, &trace, parent);
-    drop(span);
-    let service_ns = started.elapsed().as_nanos() as u64;
-    state
-        .registry
-        .histogram("coord.request_ns")
-        .record(service_ns);
-    // Mirror the shard server's v4 shape: a timings object on every ok
-    // response (the coordinator has no admission queue, so queue_ns is
-    // 0) and the span tree inline when the client asked for it.
-    if proto_version >= 4 && resp.starts_with("{\"ok\":true") && resp.ends_with('}') {
-        resp.pop();
-        resp.push_str(&format!(
-            ",\"timings\":{{\"queue_ns\":0,\"service_ns\":{service_ns}}}"
-        ));
-        if trace_wanted {
-            if let Some(data) = trace.finish() {
-                resp.push_str(&format!(",\"trace\":{}", data.to_json()));
+
+    fn info(&self) -> String {
+        let infos: Vec<ShardInfo> = self.shards.iter().map(|s| s.snapshot()).collect();
+        let up = infos.iter().filter(|i| i.up).count();
+        let quarantined: u64 = infos.iter().map(|i| i.quarantined).sum();
+        let generation = infos.iter().map(|i| i.generation).max().unwrap_or(0);
+        let sequences: u64 = infos.iter().map(|i| i.sequences).sum();
+        let values: u64 = infos.iter().map(|i| i.values).sum();
+        // Shards are built against one global alphabet, so the category
+        // counts agree; max tolerates unpolled shards (cached 0).
+        let categories = infos.iter().map(|i| i.categories).max().unwrap_or(0);
+        let segments: u64 = infos.iter().map(|i| i.segments).sum();
+        format!(
+            "\"generation\":{generation},\"sequences\":{sequences},\"values\":{values},\"categories\":{categories},\"segments\":{segments},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"workers\":{}",
+            infos.len(),
+            self.workers,
+        )
+    }
+
+    fn refresh_gauges(&self) {
+        let up = self.shards.iter().filter(|s| s.snapshot().up).count();
+        self.registry.gauge("coord.shards_up").set(up as f64);
+    }
+
+    fn generation(&self) -> u64 {
+        let generations = self.shards.iter().map(|s| s.snapshot().generation);
+        generations.max().unwrap_or(0)
+    }
+
+    /// Scatters inline on the connection thread under one
+    /// `coord.service` span (the coordinator has no admission queue, so
+    /// `queue_ns` is 0).
+    fn run(
+        &self,
+        conns: &mut Vec<ShardConn>,
+        req: Request,
+        proto_version: u32,
+        trace: &Trace,
+        received: Instant,
+    ) -> Result<Ran, String> {
+        let span = trace.span("coord.service");
+        if span.is_active() {
+            span.attr_str("op", req.op_label());
+            span.attr_u64("shards", self.shards.len() as u64);
+        }
+        let parent = span.span_id();
+        let mut resp = match execute(self, conns, req, trace, parent) {
+            Ok(resp) => {
+                self.registry.counter("coord.requests_ok").incr();
+                resp
             }
+            Err(resp) => resp,
+        };
+        drop(span);
+        let service_ns = received.elapsed().as_nanos() as u64;
+        // Degraded answers below protocol version 3 cannot be
+        // expressed; the check runs on the merged result so it fires
+        // exactly when the monolithic server's would have.
+        if proto_version < 3 && resp.starts_with("{\"ok\":true") && resp.contains("\"partial\":") {
+            self.registry.counter("coord.bad_requests").incr();
+            resp = error_response(
+                ErrorCode::PartialResultUnsupported,
+                "result is partial (segments quarantined) and this protocol version cannot express partial results; retry with version 3",
+            );
         }
-        resp.push('}');
-    }
-    // Degraded answers below protocol version 3 cannot be expressed;
-    // the check runs on the merged result so it fires exactly when the
-    // monolithic server's would have.
-    if proto_version < 3 && resp.starts_with("{\"ok\":true") && resp.contains("\"partial\":") {
-        state.registry.counter("coord.bad_requests").incr();
-        resp = error_response(
-            ErrorCode::PartialResultUnsupported,
-            "result is partial (segments quarantined) and this protocol version cannot express partial results; retry with version 3",
-        );
-    }
-    let resp = clamp_oversized(resp, &state.registry);
-    let ok = proto::respond(
-        stream,
-        &resp,
-        &state.registry.counter("coord.response_bytes"),
-        &trace,
-        parent,
-    );
-    // Offered after the write, so a traced entry in the ring carries
-    // the `write` span too.
-    state
-        .slowlog
-        .offer(op, state.max_generation(), service_ns, &trace);
-    ok
-}
-
-fn clamp_oversized(resp: String, registry: &MetricsRegistry) -> String {
-    if resp.len() <= proto::MAX_FRAME as usize {
-        return resp;
-    }
-    registry.counter("coord.result_too_large").incr();
-    error_response(
-        ErrorCode::ResultTooLarge,
-        "serialized result exceeds the 4 MiB frame limit; narrow epsilon, lower max_len, or split the batch",
-    )
-}
-
-/// An untraced response (parse errors, control ops, refusals).
-fn respond(stream: &mut TcpStream, state: &CoordState, resp: &str) -> bool {
-    let bytes = state.registry.counter("coord.response_bytes");
-    proto::respond(stream, resp, &bytes, &Trace::noop(), None)
-}
-
-fn next_trace_id(kind: &str) -> String {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    format!("coord-{kind}-{}", SEQ.fetch_add(1, Ordering::Relaxed))
-}
-
-/// A typed error frame with a shard-supplied code string, byte-shaped
-/// like [`proto::error_response`] so propagated shard errors are
-/// indistinguishable from locally raised ones.
-fn error_frame(code: &str, message: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"version\":{PROTO_VERSION},\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
-        obs_json::escape(code),
-        obs_json::escape(message)
-    )
-}
-
-fn control_response(req: &Request, state: &CoordState) -> String {
-    let infos: Vec<ShardInfo> = state.shards.iter().map(|s| s.snapshot()).collect();
-    let up = infos.iter().filter(|i| i.up).count();
-    let quarantined: u64 = infos.iter().map(|i| i.quarantined).sum();
-    let generation = infos.iter().map(|i| i.generation).max().unwrap_or(0);
-    match req {
-        Request::Health => {
-            // Degraded when any shard is unreachable *or* any shard is
-            // itself degraded — either way answers are partial.
-            let status = if up == infos.len() && quarantined == 0 {
-                "serving"
-            } else {
-                "degraded"
-            };
-            let mut per = String::from("[");
-            for (i, (info, shard)) in infos.iter().zip(&state.shards).enumerate() {
-                if i > 0 {
-                    per.push(',');
-                }
-                per.push_str(&format!(
-                    "{{\"index\":{i},\"addr\":\"{}\",\"up\":{},\"generation\":{},\"quarantined_segments\":{}}}",
-                    obs_json::escape(&shard.addr),
-                    info.up,
-                    info.generation,
-                    info.quarantined,
-                ));
-            }
-            per.push(']');
-            ok_response(
-                "health",
-                &format!(
-                    "\"status\":\"{status}\",\"generation\":{generation},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"shards\":{per}",
-                    infos.len()
-                ),
-            )
-        }
-        Request::Info => {
-            let sequences: u64 = infos.iter().map(|i| i.sequences).sum();
-            let values: u64 = infos.iter().map(|i| i.values).sum();
-            // Shards are built against one global alphabet, so the
-            // category counts agree; max tolerates unpolled shards
-            // (cached 0).
-            let categories = infos.iter().map(|i| i.categories).max().unwrap_or(0);
-            let segments: u64 = infos.iter().map(|i| i.segments).sum();
-            ok_response(
-                "info",
-                &format!(
-                    "\"generation\":{generation},\"sequences\":{sequences},\"values\":{values},\"categories\":{categories},\"segments\":{segments},\"quarantined_segments\":{quarantined},\"shards_total\":{},\"shards_up\":{up},\"workers\":{}",
-                    infos.len(),
-                    state.workers,
-                ),
-            )
-        }
-        Request::Stats => {
-            state.registry.gauge("coord.shards_up").set(up as f64);
-            ok_response(
-                "stats",
-                &format!("\"metrics\":{}", state.registry.snapshot().to_json()),
-            )
-        }
-        Request::Slowlog => ok_response(
-            "slowlog",
-            &format!("\"entries\":{}", state.slowlog.to_json()),
-        ),
-        Request::Metrics => {
-            state.registry.gauge("coord.shards_up").set(up as f64);
-            ok_response(
-                "metrics",
-                &format!(
-                    "\"format\":\"prometheus-0.0.4\",\"exposition\":\"{}\"",
-                    obs_json::escape(&state.registry.snapshot().to_prometheus())
-                ),
-            )
-        }
-        Request::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            ok_response("shutdown", "\"draining\":true")
-        }
-        _ => unreachable!("non-control request routed to control_response"),
+        Ok(Ran {
+            resp,
+            service_span: parent,
+            queue_ns: 0,
+            service_ns,
+        })
     }
 }
 
@@ -857,13 +582,12 @@ struct Gathered {
 /// contract: any typed shard error fails the query (lowest shard index
 /// wins), and zero answering shards is an `internal` failure naming
 /// the first transport error.
-fn gather(state: &CoordState, replies: Vec<ShardReply>) -> Result<Gathered, String> {
-    if let Some((i, code, message)) = replies.iter().enumerate().find_map(|(i, r)| match r {
-        ShardReply::Typed { code, message } => Some((i, code.clone(), message.clone())),
+fn gather(replies: Vec<ShardReply>) -> Result<Gathered, String> {
+    if let Some(typed) = replies.iter().find_map(|r| match r {
+        ShardReply::Typed { code, message } => Some(error_frame(code, message)),
         _ => None,
     }) {
-        let _ = i;
-        return Err(error_frame(&code, &message));
+        return Err(typed);
     }
     let mut answers = Vec::with_capacity(replies.len());
     let mut generation = 0u64;
@@ -894,7 +618,6 @@ fn gather(state: &CoordState, replies: Vec<ShardReply>) -> Result<Gathered, Stri
             &format!("no shard answered (shard {i}: {desc})"),
         ));
     }
-    let _ = state;
     Ok(Gathered {
         answers,
         generation,
@@ -966,48 +689,50 @@ fn malformed(err: String) -> String {
     )
 }
 
-/// Scatters one query op to the shards and builds the merged response.
-/// Merging and rendering the gathered replies — the coordinator's
-/// response encoding — is timed by an `encode` span under `parent`
-/// (the request's `coord.service` span).
+/// Scatters one query op to the shards and builds the merged response;
+/// `Err` is a complete error response. Merging and rendering the
+/// gathered replies — the coordinator's response encoding — is timed
+/// by an `encode` span under `parent` (the request's `coord.service`
+/// span).
 fn execute(
     state: &CoordState,
     conns: &mut [ShardConn],
     req: Request,
     trace: &Trace,
     parent: Option<u32>,
-) -> String {
+) -> Result<String, String> {
+    let op = req.op_label();
     match req {
-        Request::Search { query, params } => {
+        // `explain` is `search` plus the shards' funnel stats, summed.
+        Request::Search { query, params } | Request::Explain { query, params } => {
             let body = format!(
-                "{{\"op\":\"search\",\"version\":4,\"query\":{}{}{}}}",
+                "{{\"op\":\"{op}\",\"version\":4,\"query\":{}{}{}}}",
                 encode_query(&query),
                 search_params_fragment(&params),
                 trace_fragment(trace),
             );
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
+            let g = gather(scatter(state, conns, &body, trace, parent))?;
             let _encode = trace.span_with_parent(parent, "encode");
-            let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
-                Ok(x) => x,
-                Err(e) => return malformed(e),
-            };
+            let (per_shard, covs) = matches_and_coverage(state, &g.answers).map_err(malformed)?;
+            let mut stats = String::new();
+            if op == "explain" {
+                let per_shard = g
+                    .answers
+                    .iter()
+                    .flatten()
+                    .map(|v| {
+                        v.get("stats")
+                            .ok_or_else(|| "explain response missing \"stats\"".to_string())
+                            .and_then(parse_stats)
+                    })
+                    .collect::<Result<Vec<SearchStats>, String>>()
+                    .map_err(malformed)?;
+                stats = format!(",\"stats\":{}", proto::encode_stats(&sum_stats(&per_shard)));
+            }
             let merged = merge_threshold(per_shard);
+            let body = proto::matches_body(g.generation, &merged, false);
             let suffix = coverage_suffix(state, &covs);
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
-                "search",
-                &format!(
-                    "\"generation\":{},\"count\":{},\"matches\":{}{}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches(&merged),
-                    suffix
-                ),
-            )
+            Ok(ok_response(op, &format!("{body}{stats}{suffix}")))
         }
         Request::Knn { query, params } => {
             let mut body = format!(
@@ -1033,16 +758,9 @@ fn execute(
                 params.threads,
                 trace_fragment(trace),
             ));
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
+            let g = gather(scatter(state, conns, &body, trace, parent))?;
             let _encode = trace.span_with_parent(parent, "encode");
-            let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
-                Ok(x) => x,
-                Err(e) => return malformed(e),
-            };
+            let (per_shard, covs) = matches_and_coverage(state, &g.answers).map_err(malformed)?;
             // Each shard's local top-k contains every global-top-k
             // member that shard holds (the ε-expansion schedule is
             // query-derived, hence identical on every shard, and
@@ -1050,64 +768,9 @@ fn execute(
             // which sharding co-locates), so merging the local
             // rankings and truncating to k is the exact global top-k.
             let merged = merge_ranked(per_shard, params.k);
+            let body = proto::matches_body(g.generation, &merged, true);
             let suffix = coverage_suffix(state, &covs);
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
-                "knn",
-                &format!(
-                    "\"generation\":{},\"count\":{},\"matches\":{}{}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches_ranked(&merged),
-                    suffix
-                ),
-            )
-        }
-        Request::Explain { query, params } => {
-            let body = format!(
-                "{{\"op\":\"explain\",\"version\":4,\"query\":{}{}{}}}",
-                encode_query(&query),
-                search_params_fragment(&params),
-                trace_fragment(trace),
-            );
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
-            let _encode = trace.span_with_parent(parent, "encode");
-            let (per_shard, covs) = match matches_and_coverage(state, &g.answers) {
-                Ok(x) => x,
-                Err(e) => return malformed(e),
-            };
-            let stats: Result<Vec<SearchStats>, String> = g
-                .answers
-                .iter()
-                .flatten()
-                .map(|v| {
-                    v.get("stats")
-                        .ok_or_else(|| "explain response missing \"stats\"".to_string())
-                        .and_then(parse_stats)
-                })
-                .collect();
-            let stats = match stats {
-                Ok(s) => sum_stats(&s),
-                Err(e) => return malformed(e),
-            };
-            let merged = merge_threshold(per_shard);
-            let suffix = coverage_suffix(state, &covs);
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
-                "explain",
-                &format!(
-                    "\"generation\":{},\"count\":{},\"matches\":{},\"stats\":{}{}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches(&merged),
-                    encode_stats(&stats),
-                    suffix
-                ),
-            )
+            Ok(ok_response("knn", &format!("{body}{suffix}")))
         }
         Request::Batch { queries, params } => {
             let total = queries.len();
@@ -1124,84 +787,57 @@ fn execute(
                 search_params_fragment(&params),
                 trace_fragment(trace),
             );
-            let replies = scatter(state, conns, &body, trace, parent);
-            let g = match gather(state, replies) {
-                Ok(g) => g,
-                Err(resp) => return resp,
-            };
+            let g = gather(scatter(state, conns, &body, trace, parent))?;
             let _encode = trace.span_with_parent(parent, "encode");
             // Per answering shard: the batch's item array (each a full
             // search response body for that shard's slice).
-            let mut shard_items: Vec<(usize, &[Json])> = Vec::new();
-            for (i, a) in g.answers.iter().enumerate() {
-                if let Some(v) = a {
-                    let items = match v.get("results").and_then(Json::as_arr) {
-                        Some(items) if items.len() == total => items,
-                        Some(items) => {
-                            return malformed(format!(
-                                "shard {i} answered {} of {total} batch items",
-                                items.len()
-                            ))
-                        }
-                        None => {
-                            return malformed(format!("shard {i} response missing \"results\""))
-                        }
-                    };
-                    shard_items.push((i, items));
+            let mut shard_items: Vec<&[Json]> = Vec::new();
+            for (i, v) in g.answers.iter().enumerate() {
+                let Some(v) = v else { continue };
+                let items = v
+                    .get("results")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| malformed(format!("shard {i} response missing \"results\"")))?;
+                if items.len() != total {
+                    return Err(malformed(format!(
+                        "shard {i} answered {} of {total} batch items",
+                        items.len()
+                    )));
                 }
+                shard_items.push(items);
             }
             let mut results = String::from("[");
             for j in 0..total {
                 let mut per_shard = Vec::new();
                 let mut covs = Vec::with_capacity(g.answers.len());
-                let mut item_of = shard_items.iter().peekable();
+                let mut item_of = shard_items.iter();
                 for (i, a) in g.answers.iter().enumerate() {
-                    let item = match a {
-                        Some(_) => {
-                            let (_, items) = item_of.next().expect("answer has items");
-                            Some(&items[j])
-                        }
-                        None => None,
-                    };
-                    match coverage_of(state, i, item) {
-                        Ok(c) => covs.push(c),
-                        Err(e) => return malformed(e),
-                    }
+                    let item = a
+                        .as_ref()
+                        .map(|_| &item_of.next().expect("answer has items")[j]);
+                    covs.push(coverage_of(state, i, item).map_err(malformed)?);
                     if let Some(item) = item {
-                        let arr = match item.get("matches") {
-                            Some(arr) => arr,
-                            None => {
-                                return malformed(format!(
-                                    "shard {i} batch item {j} missing \"matches\""
-                                ))
-                            }
-                        };
-                        match parse_matches(arr, state.shards[i].start_seq) {
-                            Ok(m) => per_shard.push(m),
-                            Err(e) => return malformed(e),
-                        }
+                        let arr = item.get("matches").ok_or_else(|| {
+                            malformed(format!("shard {i} batch item {j} missing \"matches\""))
+                        })?;
+                        per_shard.push(
+                            parse_matches(arr, state.shards[i].start_seq).map_err(malformed)?,
+                        );
                     }
                 }
-                let _ = item_of;
                 let merged = merge_threshold(per_shard);
-                let suffix = coverage_suffix(state, &covs);
                 if j > 0 {
                     results.push(',');
                 }
-                results.push_str(&format!(
-                    "{{\"generation\":{},\"count\":{},\"matches\":{}{}}}",
-                    g.generation,
-                    merged.len(),
-                    proto::encode_matches(&merged),
-                    suffix
-                ));
+                let body = proto::matches_body(g.generation, &merged, false);
+                let suffix = coverage_suffix(state, &covs);
+                results.push_str(&format!("{{{body}{suffix}}}"));
             }
             results.push(']');
-            state.registry.counter("coord.requests_ok").incr();
-            ok_response(
+            Ok(ok_response(
                 "batch",
                 &format!("\"generation\":{},\"results\":{}", g.generation, results),
-            )
+            ))
         }
         // Appends extend the *last* shard: it owns the tail of the
         // global sequence-id space, so new sequences keep the
@@ -1210,41 +846,36 @@ fn execute(
         Request::Ingest { sequences } => {
             let body = ingest_request(&sequences);
             let last = conns.len() - 1;
-            match call_shard(state, last, &mut conns[last], &body, trace, parent) {
-                ShardReply::Answer(v) => {
-                    let field = |k: &str| {
-                        v.get(k)
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("ingest response missing \"{k}\""))
-                    };
-                    let render = field("generation")
-                        .and_then(|g| Ok((g, field("sequences")?, field("segments")?)));
-                    match render {
-                        Ok((g, n, segs)) => {
-                            state.shards[last].update(|info| {
-                                info.sequences += n;
-                                info.segments = segs;
-                            });
-                            state.registry.counter("coord.requests_ok").incr();
-                            ok_response(
-                                "ingest",
-                                &format!(
-                                    "\"generation\":{g},\"sequences\":{n},\"segments\":{segs},\"shard\":{last}"
-                                ),
-                            )
-                        }
-                        Err(e) => malformed(e),
-                    }
+            let v = match call_shard(state, last, &mut conns[last], &body, trace, parent) {
+                ShardReply::Answer(v) => v,
+                ShardReply::Typed { code, message } => return Err(error_frame(&code, &message)),
+                ShardReply::Down(desc) => {
+                    return Err(error_response(
+                        ErrorCode::Internal,
+                        &format!("ingest shard {last} unavailable: {desc}"),
+                    ))
                 }
-                ShardReply::Typed { code, message } => error_frame(&code, &message),
-                ShardReply::Down(desc) => error_response(
-                    ErrorCode::Internal,
-                    &format!("ingest shard {last} unavailable: {desc}"),
+            };
+            let field = |k: &str| {
+                v.get(k)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| malformed(format!("ingest response missing \"{k}\"")))
+            };
+            let (g, n, segs) = (
+                field("generation")?,
+                field("sequences")?,
+                field("segments")?,
+            );
+            state.shards[last].update(|info| {
+                info.sequences += n;
+                info.segments = segs;
+            });
+            Ok(ok_response(
+                "ingest",
+                &format!(
+                    "\"generation\":{g},\"sequences\":{n},\"segments\":{segs},\"shard\":{last}"
                 ),
-            }
-        }
-        Request::DebugSleep { .. } => {
-            error_response(ErrorCode::BadRequest, "debug ops are not coordinated")
+            ))
         }
         control => unreachable!("control op {control:?} reached execute"),
     }
@@ -1301,18 +932,6 @@ mod tests {
         // forwarded bodies byte-identical to the pre-backend protocol.
         let plain = search_params_fragment(&SearchParams::with_epsilon(0.5));
         assert!(!plain.contains("backend"), "{plain}");
-    }
-
-    #[test]
-    fn error_frames_match_proto_shape() {
-        assert_eq!(
-            error_frame("overloaded", "queue full"),
-            error_response(ErrorCode::Overloaded, "queue full")
-        );
-        assert_eq!(
-            error_frame("corruption_detected", "bad page"),
-            error_response(ErrorCode::CorruptionDetected, "bad page")
-        );
     }
 
     #[test]

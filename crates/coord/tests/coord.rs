@@ -838,3 +838,59 @@ fn coordinator_control_plane_and_errors() {
     assert!(coord.is_shutting_down());
     coord.join();
 }
+
+/// The coordinator meters what the shard server meters at its front
+/// door: an unsupported protocol version counts as
+/// `coord.unsupported_version`, and a connection over the cap gets the
+/// typed `overloaded` frame and counts as both
+/// `coord.rejected_conn_limit` and `coord.rejected_overload`.
+#[test]
+fn coordinator_meters_front_door_refusals_like_the_server() {
+    let root = tmpdir("frontdoor");
+    let store = corpus();
+    let alphabet = Alphabet::equal_length(&store, 6).unwrap();
+    build_shard_layout(&root, &store, &alphabet, &[12]);
+    let (_shards, addrs) = start_shards(&root, 1);
+    let coord = Coordinator::start(
+        &root,
+        CoordConfig {
+            shard_addrs: addrs,
+            max_conns: 1,
+            ..CoordConfig::default()
+        },
+    )
+    .unwrap();
+    let counter = |name: &str| {
+        coord
+            .registry()
+            .snapshot()
+            .counters
+            .get(name)
+            .copied()
+            .unwrap_or(0)
+    };
+
+    // Hold the only connection slot; the version-5 frame is refused
+    // with the typed code on it, and the connection stays usable.
+    let mut c1 = Client::connect(coord.addr().to_string()).unwrap();
+    let resp = c1.request_raw("{\"op\":\"health\",\"version\":5}").unwrap();
+    assert!(resp.contains("\"code\":\"unsupported_version\""), "{resp}");
+    assert_eq!(counter("coord.unsupported_version"), 1);
+    assert_eq!(counter("coord.bad_requests"), 1);
+    c1.health().unwrap();
+
+    // A second connection is over the cap: refused at accept with a
+    // typed frame, read without writing so a reset cannot eat it.
+    let mut s2 = std::net::TcpStream::connect(coord.addr()).unwrap();
+    s2.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let payload = warptree_server::proto::read_frame(&mut s2)
+        .unwrap()
+        .unwrap();
+    let text = String::from_utf8(payload).unwrap();
+    assert!(text.contains("\"code\":\"overloaded\""), "got: {text}");
+    assert_eq!(counter("coord.rejected_conn_limit"), 1);
+    assert_eq!(counter("coord.rejected_overload"), 1);
+
+    drop(c1);
+    coord.stop();
+}

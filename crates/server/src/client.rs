@@ -170,40 +170,16 @@ impl Client {
         body: &str,
         policy: &RetryPolicy,
     ) -> Result<Json, ClientError> {
-        let started = Instant::now();
-        let mut rng = jitter_seed();
-        let mut attempt: u32 = 0;
-        loop {
-            let err = match self.request(body) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() => e,
-                Err(e) => return Err(e),
-            };
-            if attempt >= policy.max_retries {
-                return Err(err);
-            }
-            // Full jitter: uniform in [0, min(base·2^attempt, max)).
-            let cap = policy
-                .base
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(policy.max_backoff)
-                .max(Duration::from_nanos(1));
-            let sleep = Duration::from_nanos(next_jitter(&mut rng) % cap.as_nanos() as u64);
-            if let Some(budget) = policy.deadline {
-                if started.elapsed() + sleep >= budget {
-                    return Err(err);
-                }
-            }
-            std::thread::sleep(sleep);
+        with_retry(policy, |prev| {
             // A dead socket fails every future request on this
             // connection; re-dial before retrying. Reconnect failure is
             // itself transient (the server may be restarting), so it
             // just consumes this attempt.
-            if !matches!(err, ClientError::Server { .. }) {
+            if prev.is_some_and(|e| !matches!(e, ClientError::Server { .. })) {
                 let _ = self.reconnect();
             }
-            attempt += 1;
-        }
+            self.request(body)
+        })
     }
 
     /// Sends `body` (a JSON request object) and returns the **raw**
@@ -377,20 +353,20 @@ impl ShardConn {
     /// generation; use [`ShardConn::request_with_retry`] when the
     /// caller wants the policy-driven loop.
     pub fn request(&mut self, body: &str) -> Result<Json, ClientError> {
-        let result = self.ensure()?.request(body);
-        if let Err(ref e) = result {
-            if Self::is_torn(e) {
-                self.conn_failures += 1;
-                self.client = None;
-            }
-        }
-        result
+        self.exchange(|c| c.request(body))
     }
 
     /// [`ShardConn::request`] returning the raw response text (error
     /// frames included), for byte-equivalence callers.
     pub fn request_raw(&mut self, body: &str) -> Result<String, ClientError> {
-        let result = self.ensure()?.request_raw(body);
+        self.exchange(|c| c.request_raw(body))
+    }
+
+    fn exchange<T>(
+        &mut self,
+        send: impl FnOnce(&mut Client) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let result = send(self.ensure()?);
         if let Err(ref e) = result {
             if Self::is_torn(e) {
                 self.conn_failures += 1;
@@ -410,32 +386,46 @@ impl ShardConn {
         body: &str,
         policy: &RetryPolicy,
     ) -> Result<Json, ClientError> {
-        let started = Instant::now();
-        let mut rng = jitter_seed();
-        let mut attempt: u32 = 0;
-        loop {
-            let err = match self.request(body) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transient() => e,
-                Err(e) => return Err(e),
-            };
-            if attempt >= policy.max_retries {
+        with_retry(policy, |_| self.request(body))
+    }
+}
+
+/// The retry loop behind both `request_with_retry` methods: calls
+/// `attempt` (passing the previous attempt's error, `None` the first
+/// time) until it succeeds, fails hard, runs out of retries, or the
+/// next full-jitter backoff would overrun the policy's deadline.
+fn with_retry(
+    policy: &RetryPolicy,
+    mut attempt: impl FnMut(Option<&ClientError>) -> Result<Json, ClientError>,
+) -> Result<Json, ClientError> {
+    let started = Instant::now();
+    let mut rng = jitter_seed();
+    let mut retries: u32 = 0;
+    let mut prev = None;
+    loop {
+        let err = match attempt(prev.as_ref()) {
+            Ok(v) => return Ok(v),
+            Err(e) if e.is_transient() => e,
+            Err(e) => return Err(e),
+        };
+        if retries >= policy.max_retries {
+            return Err(err);
+        }
+        // Full jitter: uniform in [0, min(base·2^retries, max)).
+        let cap = policy
+            .base
+            .saturating_mul(1u32 << retries.min(16))
+            .min(policy.max_backoff)
+            .max(Duration::from_nanos(1));
+        let sleep = Duration::from_nanos(next_jitter(&mut rng) % cap.as_nanos() as u64);
+        if let Some(budget) = policy.deadline {
+            if started.elapsed() + sleep >= budget {
                 return Err(err);
             }
-            let cap = policy
-                .base
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(policy.max_backoff)
-                .max(Duration::from_nanos(1));
-            let sleep = Duration::from_nanos(next_jitter(&mut rng) % cap.as_nanos() as u64);
-            if let Some(budget) = policy.deadline {
-                if started.elapsed() + sleep >= budget {
-                    return Err(err);
-                }
-            }
-            std::thread::sleep(sleep);
-            attempt += 1;
         }
+        std::thread::sleep(sleep);
+        retries += 1;
+        prev = Some(err);
     }
 }
 
@@ -482,18 +472,12 @@ pub fn encode_query(query: &[f64]) -> String {
 /// degraded server answers with an honest `partial: true` + coverage
 /// instead of refusing the request.
 pub fn search_request(query: &[f64], epsilon: f64, window: Option<u32>) -> String {
-    match window {
-        Some(w) => format!(
-            "{{\"op\":\"search\",\"version\":3,\"query\":{},\"epsilon\":{},\"window\":{w}}}",
-            encode_query(query),
-            warptree_obs::json::num(epsilon)
-        ),
-        None => format!(
-            "{{\"op\":\"search\",\"version\":3,\"query\":{},\"epsilon\":{}}}",
-            encode_query(query),
-            warptree_obs::json::num(epsilon)
-        ),
-    }
+    let window = window.map_or(String::new(), |w| format!(",\"window\":{w}"));
+    format!(
+        "{{\"op\":\"search\",\"version\":3,\"query\":{},\"epsilon\":{}{window}}}",
+        encode_query(query),
+        warptree_obs::json::num(epsilon)
+    )
 }
 
 /// Builds a version-4 `search` request: same body as

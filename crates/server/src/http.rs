@@ -12,17 +12,16 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use warptree_obs::MetricsRegistry;
 
+use crate::worker::Worker;
+
 /// The background thread serving `GET /metrics`.
 pub struct MetricsHttp {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    worker: Worker,
 }
 
 impl MetricsHttp {
@@ -31,15 +30,12 @@ impl MetricsHttp {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("warptree-metrics-http".to_string())
-            .spawn(move || serve_loop(listener, &registry, &stop2))?;
+        let worker = Worker::spawn("warptree-metrics-http", move |stop| {
+            serve_loop(listener, &registry, stop)
+        })?;
         Ok(MetricsHttp {
             addr: bound,
-            stop,
-            handle: Some(handle),
+            worker,
         })
     }
 
@@ -49,20 +45,8 @@ impl MetricsHttp {
     }
 
     /// Stops the accept loop and joins the thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsHttp {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        self.worker.stop();
     }
 }
 

@@ -18,9 +18,11 @@
 //!   [`DirSnapshot`](warptree_disk::DirSnapshot) plus the hot-reload
 //!   watcher that polls the commit `MANIFEST` and swaps generations
 //!   without dropping requests.
-//! * [`server`] — the TCP accept loop, per-request deadlines, metrics,
-//!   per-query tracing, the slow-query ring, and graceful drain on
-//!   shutdown.
+//! * [`frontend`] — the connection layer shared with the shard
+//!   coordinator (accept, frame loop, drain, control ops, tracing,
+//!   slow-query ring), in front of an [`Executor`](frontend::Executor).
+//! * [`server`] — the pool executor: admission control, deadlines,
+//!   query execution, ingest and the background workers.
 //! * [`http`] — the plain-HTTP `GET /metrics` Prometheus exposition
 //!   endpoint (enabled by `ServerConfig::metrics_addr`).
 //! * [`client`] — a blocking protocol client with jittered-backoff
@@ -30,6 +32,8 @@
 //! * [`chaos`] — a deterministic fault-injecting stream wrapper
 //!   (torn/dropped/stalled frames) for the chaos test harness.
 //! * [`signal`] — SIGINT/SIGTERM → shutdown-flag plumbing.
+//! * [`worker`] — the stoppable background thread every periodic job
+//!   (reload, compaction, scrub, shard health polls) runs on.
 //!
 //! ## Serving contract
 //!
@@ -50,6 +54,7 @@
 pub mod bench;
 pub mod chaos;
 pub mod client;
+pub mod frontend;
 pub mod http;
 pub mod json;
 pub mod pool;
@@ -57,6 +62,7 @@ pub mod proto;
 pub mod server;
 pub mod signal;
 pub mod snapshot;
+pub mod worker;
 
 pub use bench::{BenchConfig, BenchReport, LoopMode};
 pub use chaos::{ChaosConfig, ChaosStream};

@@ -112,12 +112,9 @@ impl WorkerPool {
         self.shared.not_empty.notify_all();
     }
 
-    /// Drains and joins every worker.
-    pub fn join(mut self) {
-        self.shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    /// Drains and joins every worker (what dropping the pool does).
+    pub fn join(self) {
+        drop(self);
     }
 }
 

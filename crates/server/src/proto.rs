@@ -53,7 +53,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use warptree_core::error::CoreError;
-use warptree_core::search::{BackendKind, KnnParams, Match, SearchParams};
+use warptree_core::search::{BackendKind, KnnParams, Match, SearchParams, SearchStats};
 use warptree_obs::json::{escape, num};
 use warptree_obs::{Counter, Trace};
 
@@ -728,6 +728,46 @@ pub fn encode_matches_ranked(matches: &[Match]) -> String {
     out
 }
 
+/// The `"generation":…,"count":…,"matches":[…]` body of every answer:
+/// matches in canonical occurrence order, or as given when `ranked`
+/// (k-NN answers are nearest first).
+pub fn matches_body(generation: u64, matches: &[Match], ranked: bool) -> String {
+    let arr = if ranked {
+        encode_matches_ranked(matches)
+    } else {
+        encode_matches(matches)
+    };
+    format!(
+        "\"generation\":{generation},\"count\":{},\"matches\":{arr}",
+        matches.len()
+    )
+}
+
+/// Serializes funnel stats as the 16-field `"stats"` object of an
+/// `explain` response — one renderer for the server and the
+/// coordinator's merged answer, so the two stay byte-comparable.
+pub fn encode_stats(s: &SearchStats) -> String {
+    format!(
+        "{{\"filter_cells\":{},\"nodes_visited\":{},\"nodes_expanded\":{},\"rows_pushed\":{},\"rows_unshared\":{},\"branches_pruned\":{},\"candidates\":{},\"stored_candidates\":{},\"lb2_candidates\":{},\"postprocessed\":{},\"postprocess_cells\":{},\"false_alarms\":{},\"answers\":{},\"cascade_lb_keogh_kills\":{},\"cascade_lb_improved_kills\":{},\"cascade_abandon_kills\":{}}}",
+        s.filter_cells,
+        s.nodes_visited,
+        s.nodes_expanded,
+        s.rows_pushed,
+        s.rows_unshared,
+        s.branches_pruned,
+        s.candidates,
+        s.stored_candidates,
+        s.lb2_candidates,
+        s.postprocessed,
+        s.postprocess_cells,
+        s.false_alarms,
+        s.answers,
+        s.cascade_lb_keogh_kills,
+        s.cascade_lb_improved_kills,
+        s.cascade_abandon_kills,
+    )
+}
+
 /// Serializes [`Coverage`] accounting as a response fragment:
 /// `"partial":true,"coverage":{…}` (protocol version 3). The fraction
 /// is rendered with the shared canonical number formatter so degraded
@@ -767,9 +807,15 @@ pub fn ok_response(op: &str, body: &str) -> String {
 
 /// Builds a typed error response.
 pub fn error_response(code: ErrorCode, message: &str) -> String {
+    error_frame(code.as_str(), message)
+}
+
+/// [`error_response`] with the code as a string, for relaying a code
+/// another server sent: the bytes match a locally raised error.
+pub fn error_frame(code: &str, message: &str) -> String {
     format!(
         "{{\"ok\":false,\"version\":{PROTO_VERSION},\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
-        code.as_str(),
+        escape(code),
         escape(message)
     )
 }
@@ -785,6 +831,20 @@ pub fn core_error_response(e: &CoreError) -> String {
 mod tests {
     use super::*;
     use warptree_core::sequence::{Occurrence, SeqId};
+
+    /// A relayed error code renders byte-identically to a locally
+    /// raised one.
+    #[test]
+    fn error_frames_match_error_responses() {
+        assert_eq!(
+            error_frame("overloaded", "queue full"),
+            error_response(ErrorCode::Overloaded, "queue full")
+        );
+        assert_eq!(
+            error_frame("corruption_detected", "bad page"),
+            error_response(ErrorCode::CorruptionDetected, "bad page")
+        );
+    }
 
     #[test]
     fn frames_round_trip() {

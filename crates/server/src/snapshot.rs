@@ -19,13 +19,13 @@
 //! leaves the server on the old generation, serving uninterrupted.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use warptree_disk::{committed_generation_with, open_dir_snapshot_with, DirSnapshot, Vfs};
 use warptree_obs::MetricsRegistry;
+
+use crate::worker::Worker;
 
 /// Wires a freshly opened snapshot into the server's metrics registry:
 /// the base tree and every live segment meter their CRC failures into
@@ -79,8 +79,7 @@ impl SnapshotCell {
 /// Polls the commit manifest and hot-swaps newer generations into a
 /// [`SnapshotCell`].
 pub struct ReloadWatcher {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    worker: Worker,
 }
 
 /// What the watcher meters: `server.reloads` / `server.reload_errors`
@@ -104,7 +103,6 @@ impl ReloadWatcher {
         interval: Duration,
         cache_pages: usize,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
         let ctx = WatcherCtx {
             vfs,
             dir,
@@ -114,50 +112,15 @@ impl ReloadWatcher {
         };
         ctx.registry
             .set_gauge("server.generation", ctx.cell.generation() as f64);
-        let stop2 = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("warptree-reload".to_string())
-            .spawn(move || watcher_loop(&ctx, &stop2, interval))
+        // Polls immediately on start, then every interval.
+        let worker = Worker::every("warptree-reload", interval, true, move |_| poll_once(&ctx))
             .expect("spawn reload watcher");
-        ReloadWatcher {
-            stop,
-            handle: Some(handle),
-        }
+        ReloadWatcher { worker }
     }
 
     /// Asks the watcher to exit and waits for it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReloadWatcher {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn watcher_loop(ctx: &WatcherCtx, stop: &AtomicBool, interval: Duration) {
-    // Sleep in small slices so stop() returns promptly even with a
-    // long poll interval.
-    let slice = interval
-        .min(Duration::from_millis(50))
-        .max(Duration::from_millis(1));
-    let mut elapsed = interval; // poll immediately on start
-    while !stop.load(Ordering::SeqCst) {
-        if elapsed < interval {
-            std::thread::sleep(slice);
-            elapsed += slice;
-            continue;
-        }
-        elapsed = Duration::ZERO;
-        poll_once(ctx);
+    pub fn stop(self) {
+        self.worker.stop();
     }
 }
 

@@ -957,18 +957,49 @@ fn cmd_forecast(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use warptree::server::signal;
-    // Accept the directory positionally (`warptree serve ./idx`) or as
-    // `--index-dir ./idx`.
-    let (dir, rest) = match args.first() {
-        Some(a) if !a.starts_with("--") => (PathBuf::from(a), &args[1..]),
+/// The directory a long-running command serves: the first argument
+/// when it is positional (`warptree serve ./idx`), else `--index-dir`.
+/// Returns it with the options that follow it.
+fn served_dir(args: &[String]) -> Result<(PathBuf, Opts), String> {
+    match args.first() {
+        Some(a) if !a.starts_with("--") => Ok((PathBuf::from(a), Opts::parse(&args[1..])?)),
         _ => {
             let o = Opts::parse(args)?;
-            (PathBuf::from(o.require("index-dir")?), args)
+            Ok((PathBuf::from(o.require("index-dir")?), o))
         }
-    };
-    let o = Opts::parse(rest)?;
+    }
+}
+
+/// Installs the SIGINT/SIGTERM handlers that start a drain (before the
+/// front door starts, so no signal can hit the default handler).
+fn install_signal_handlers() {
+    if !warptree::server::signal::install_handlers() {
+        status!(
+            std::io::stderr(),
+            "warning: SIGINT/SIGTERM handlers unavailable; stop via the protocol `shutdown` op"
+        );
+    }
+}
+
+/// Flushes the banner, parks until SIGINT/SIGTERM or a protocol
+/// `shutdown` op, then drains the front door.
+fn park_then_drain<J>(handle: warptree::server::frontend::Handle<J>) -> Result<(), String> {
+    use std::io::Write as _;
+    std::io::stdout().flush().ok();
+    while !warptree::server::signal::shutdown_requested() && !handle.is_shutting_down() {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    status!(
+        std::io::stderr(),
+        "shutdown requested; draining in-flight requests…"
+    );
+    handle.stop();
+    status!(std::io::stderr(), "drained; bye");
+    Ok(())
+}
+
+fn cmd_serve(args: &[String]) -> Result<(), String> {
+    let (dir, o) = served_dir(args)?;
     let mut config = ServerConfig {
         addr: o.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
         ..ServerConfig::default()
@@ -990,12 +1021,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.slowlog_capacity = o.parse_num("slowlog-capacity", config.slowlog_capacity)?;
     config.metrics_addr = o.get("metrics-addr").map(str::to_string);
 
-    if !signal::install_handlers() {
-        status!(
-            std::io::stderr(),
-            "warning: SIGINT/SIGTERM handlers unavailable; stop via the protocol `shutdown` op"
-        );
-    }
+    install_signal_handlers();
     let handle = Server::start(&dir, config.clone()).map_err(|e| e.to_string())?;
     // One parseable line so scripts can discover the bound port.
     status!(
@@ -1032,20 +1058,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "  metrics exposition on http://{maddr}/metrics"
         );
     }
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    // Park until SIGINT/SIGTERM or a protocol `shutdown` op, then drain.
-    while !signal::shutdown_requested() && !handle.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    status!(
-        std::io::stderr(),
-        "shutdown requested; draining in-flight requests…"
-    );
-    handle.request_shutdown();
-    handle.join();
-    status!(std::io::stderr(), "drained; bye");
-    Ok(())
+    park_then_drain(handle)
 }
 
 /// Greedy contiguous value-balanced partition: cut after the sequence
@@ -1179,16 +1192,8 @@ fn cmd_shard_init(args: &[String]) -> Result<(), String> {
 
 fn cmd_shard_coordinator(args: &[String]) -> Result<(), String> {
     use warptree::coord::{CoordConfig, Coordinator};
-    use warptree::server::signal;
     // Accept the sharding root positionally or as `--index-dir DIR`.
-    let (dir, rest) = match args.first() {
-        Some(a) if !a.starts_with("--") => (PathBuf::from(a), &args[1..]),
-        _ => {
-            let o = Opts::parse(args)?;
-            (PathBuf::from(o.require("index-dir")?), args)
-        }
-    };
-    let o = Opts::parse(rest)?;
+    let (dir, o) = served_dir(args)?;
     let shard_addrs: Vec<String> = o
         .require("shards")?
         .split(',')
@@ -1215,18 +1220,13 @@ fn cmd_shard_coordinator(args: &[String]) -> Result<(), String> {
     config.trace_sample = o.parse_num("trace-sample", config.trace_sample)?;
     config.slowlog_capacity = o.parse_num("slowlog-capacity", config.slowlog_capacity)?;
 
-    if !signal::install_handlers() {
-        status!(
-            std::io::stderr(),
-            "warning: SIGINT/SIGTERM handlers unavailable; stop via the protocol `shutdown` op"
-        );
-    }
-    let shard_count = config.shard_addrs.len();
+    install_signal_handlers();
     let handle = Coordinator::start(&dir, config.clone()).map_err(|e| e.to_string())?;
     // One parseable line so scripts can discover the bound port.
     status!(
         std::io::stdout(),
-        "coordinating {shard_count} shards on {}",
+        "coordinating {} shards on {}",
+        config.shard_addrs.len(),
         handle.addr()
     );
     for (i, addr) in config.shard_addrs.iter().enumerate() {
@@ -1242,20 +1242,7 @@ fn cmd_shard_coordinator(args: &[String]) -> Result<(), String> {
         config.max_conns,
         config.health_interval
     );
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    // Park until SIGINT/SIGTERM or a protocol `shutdown` op, then drain.
-    while !signal::shutdown_requested() && !handle.is_shutting_down() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    status!(
-        std::io::stderr(),
-        "shutdown requested; draining in-flight requests…"
-    );
-    handle.request_shutdown();
-    handle.join();
-    status!(std::io::stderr(), "drained; bye");
-    Ok(())
+    park_then_drain(handle)
 }
 
 /// `warptree slowlog --addr HOST:PORT` — dump a running server's
